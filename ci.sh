@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Golden gate for this repository. Fully offline: formatting, the
-# baldur-lint static-analysis wall, a release build, the test suite (with
-# and without the `validate` runtime-invariant feature), and a timestamped
-# JSON summary under results/. Exits nonzero on the first failure.
+# baldur-lint static-analysis wall, a release build, the test suite (a
+# debug build, so the runtime-invariant assertions are live), and a
+# timestamped JSON summary under results/. Exits nonzero on the first
+# failure.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -82,7 +83,6 @@ run_step test cargo test -q
 # byte-identical output at 1/2/8 workers, and the golden CSV snapshots.
 run_step thread-invariance cargo test -q --test thread_invariance
 run_step golden cargo test -q --test golden_suite
-run_step test-validate cargo test --features validate -q
 run_step test-workspace cargo test --workspace -q
 # Registry gates: the runner must enumerate every registered experiment,
 # and the completeness suite enforces bin <-> spec bijection, golden (or

@@ -27,15 +27,16 @@
 //! sits in at most one NIC queue at a time (one `next` link suffices).
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Arena, ArenaStats, Duration, Handle, Model, Scheduler, Simulation, Time};
+use baldur_sim::{Arena, ArenaStats, Duration, Handle, Model, Scheduler, Time};
 use baldur_topo::graph::NodeId;
 use baldur_topo::staged::Staged;
 
 use crate::config::{BaldurParams, LinkParams};
 use crate::driver::Driver;
 use crate::faults::{jittered_timeout_ps, FaultKind, FaultPlan, FaultState};
-use crate::metrics::{Collector, DeliveryOutcome, LatencyReport, RecoverySpec};
+use crate::metrics::{Collector, DeliveryOutcome, LatencyReport, OutcomeTally};
 use crate::oracle::{Oracle, OracleConfig, Violation};
+use crate::runner::{self, PacketModel};
 
 /// Index into the packet table.
 type PktId = u32;
@@ -261,40 +262,6 @@ impl BaldurNet {
     /// The wired topology in use.
     pub fn topology(&self) -> &Staged {
         &self.topo
-    }
-
-    /// Kernel-state accounting (capacities, not live population): the
-    /// model half of [`StateStats`] — the caller adds scheduler figures.
-    pub fn state_stats(&self) -> StateStats {
-        fn bytes_of<T>(v: &Vec<T>) -> u64 {
-            (v.capacity() * std::mem::size_of::<T>()) as u64
-        }
-        let per_nic = bytes_of(&self.tx_busy_until)
-            + bytes_of(&self.try_scheduled)
-            + bytes_of(&self.outstanding)
-            + bytes_of(&self.backoff_exp)
-            + bytes_of(&self.in_window)
-            + bytes_of(&self.ack_head)
-            + bytes_of(&self.ack_tail)
-            + bytes_of(&self.data_head)
-            + bytes_of(&self.data_tail)
-            + bytes_of(&self.data_len)
-            + bytes_of(&self.pending_acks)
-            + self.pending_acks.iter().map(bytes_of).sum::<u64>();
-        StateStats {
-            state_bytes: bytes_of(&self.ports)
-                + per_nic
-                + bytes_of(&self.next_in_queue)
-                + bytes_of(&self.packets)
-                + self.pending.state_bytes()
-                + self.ack_batches.state_bytes()
-                + bytes_of(&self.batch_pool),
-            ack_batches: self.ack_batches.stats(),
-            pending_batches: self.pending.stats(),
-            peak_pending_events: 0,
-            events_scheduled: 0,
-            calendar_backed: false,
-        }
     }
 
     fn duration_of(&self, pkt: PktId) -> Duration {
@@ -552,11 +519,6 @@ impl BaldurNet {
     /// recorded as an oracle violation (and the decrement skipped)
     /// instead of wrapping.
     fn dec_in_flight(&mut self, now: Time) {
-        #[cfg(feature = "validate")]
-        debug_assert!(
-            self.in_flight > 0,
-            "in_flight underflow: drop/arrive without inject"
-        );
         if self.in_flight == 0 {
             self.oracle.record(
                 now.as_ps(),
@@ -616,194 +578,9 @@ impl BaldurNet {
         }
     }
 
-    /// Packet-conservation check, valid only once the event queue has
-    /// drained: every generated packet was then delivered, dropped and
-    /// retransmitted to completion, or abandoned — so nothing is in
-    /// flight, no NIC holds queued or unACKed work, and no coalesced ACK
-    /// is still owed.
-    #[cfg(feature = "validate")]
-    fn debug_validate_drained(&self) {
-        debug_assert_eq!(self.in_flight, 0, "packets still in flight after drain");
-        for i in 0..self.active_nodes as usize {
-            debug_assert!(
-                self.nic_is_empty(i),
-                "NIC {i} still has queued packets after drain"
-            );
-            debug_assert_eq!(
-                self.outstanding[i], 0,
-                "NIC {i} still counts unACKed packets after drain"
-            );
-            debug_assert!(
-                self.pending_acks[i].is_empty(),
-                "NIC {i} still owes coalesced ACKs after drain"
-            );
-        }
-        debug_assert!(
-            self.pending.is_empty(),
-            "coalescing batches leaked after drain"
-        );
-        debug_assert!(
-            self.ack_batches.is_empty(),
-            "combined-ACK references leaked after drain"
-        );
-        // Packet conservation: at drain every data packet has reached a
-        // terminal outcome — delivered or GaveUp, never still Pending —
-        // and the metric counters agree exactly (delivered and abandoned
-        // are disjoint, so generated = delivered + abandoned even under
-        // fault plans that killed switches, links, or lasers mid-run).
-        let mut delivered = 0u64;
-        let mut gave_up = 0u64;
-        let mut expired = 0u64;
-        for st in self.packets.iter().filter(|p| p.acks.is_none()) {
-            match st.outcome {
-                DeliveryOutcome::Delivered => delivered += 1,
-                DeliveryOutcome::GaveUp => gave_up += 1,
-                DeliveryOutcome::Expired => expired += 1,
-                DeliveryOutcome::Pending => {
-                    debug_assert!(false, "packet leaked: no terminal outcome at drain")
-                }
-            }
-        }
-        debug_assert_eq!(self.metrics.delivered(), delivered, "delivered count drift");
-        debug_assert_eq!(self.metrics.abandoned(), gave_up, "abandoned count drift");
-        debug_assert_eq!(self.metrics.expired(), expired, "expired count drift");
-        debug_assert_eq!(
-            self.metrics.generated(),
-            delivered + gave_up + expired + self.metrics.ingress_drops(),
-            "conservation violated: generated != delivered + abandoned + \
-             expired + ingress drops"
-        );
-    }
-
     fn note_buffer(&mut self, node: u32) {
         let bytes = u64::from(self.outstanding[node as usize]) * u64::from(self.link.packet_bytes);
         self.metrics.on_retx_buffer(bytes);
-    }
-
-    /// Finishes the run and reports.
-    pub fn into_report(self, end: Time) -> LatencyReport {
-        let mut r = self.metrics.report(end);
-        r.oracle = self.oracle.summary();
-        r
-    }
-
-    /// Periodic oracle tick driven by the engine's observer hook: feeds
-    /// the stuck-flow detector with the number of packets still owed a
-    /// terminal outcome. Returns `true` when the run should abort.
-    fn oracle_tick(&mut self, now: Time) -> bool {
-        let per_nic: Vec<u64> = self.outstanding.iter().map(|&o| u64::from(o)).collect();
-        let outstanding: u64 = per_nic.iter().sum::<u64>() + self.in_flight;
-        // Each tick is one starvation observation window: a flow (source
-        // node) with work outstanding and zero deliveries for N windows
-        // while the rest of the machine progresses is starved.
-        self.oracle
-            .check_starvation(now.as_ps(), self.metrics.flow_delivered_counts(), &per_nic);
-        self.oracle.check_stall(now.as_ps(), outstanding)
-    }
-
-    /// Release-build drain audit mirroring [`Self::debug_validate_drained`]:
-    /// discrepancies become structured oracle violations on the report
-    /// instead of debug assertions, so chaos sweeps catch them in
-    /// `--release` too.
-    fn oracle_check_drained(&mut self, end: Time) {
-        let at = end.as_ps();
-        if self.in_flight > 0 {
-            let count = u64::from(self.in_flight);
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "in_flight".into(),
-                    count,
-                },
-            );
-        }
-        let queued = (0..self.active_nodes as usize)
-            .filter(|&i| !self.nic_is_empty(i))
-            .count() as u64;
-        if queued > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "nic_queue".into(),
-                    count: queued,
-                },
-            );
-        }
-        let outstanding: u64 = self.outstanding.iter().map(|&o| u64::from(o)).sum();
-        if outstanding > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "outstanding".into(),
-                    count: outstanding,
-                },
-            );
-        }
-        let owed: u64 = self.pending_acks.iter().map(|p| p.len() as u64).sum();
-        if owed > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_acks".into(),
-                    count: owed,
-                },
-            );
-        }
-        if !self.ack_batches.is_empty() {
-            let count = self.ack_batches.live();
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "ack_refs".into(),
-                    count,
-                },
-            );
-        }
-        let mut delivered = 0u64;
-        let mut gave_up = 0u64;
-        let mut expired = 0u64;
-        let mut pending = 0u64;
-        for st in self.packets.iter().filter(|p| p.acks.is_none()) {
-            match st.outcome {
-                DeliveryOutcome::Delivered => delivered += 1,
-                DeliveryOutcome::GaveUp => gave_up += 1,
-                DeliveryOutcome::Expired => expired += 1,
-                DeliveryOutcome::Pending => pending += 1,
-            }
-        }
-        if pending > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_packets".into(),
-                    count: pending,
-                },
-            );
-        }
-        // Overload-shed packets (expired + refused at ingress) are part
-        // of the ledger: generated must equal delivered + abandoned +
-        // expired + ingress drops, exactly.
-        let generated = self.metrics.generated();
-        let shed = expired + self.metrics.ingress_drops();
-        if generated != delivered + gave_up + shed
-            || self.metrics.delivered() != delivered
-            || self.metrics.abandoned() != gave_up
-            || self.metrics.expired() != expired
-        {
-            let stranded = generated
-                .saturating_sub(delivered)
-                .saturating_sub(gave_up)
-                .saturating_sub(shed);
-            self.oracle.record(
-                at,
-                Violation::Conservation {
-                    generated,
-                    delivered: self.metrics.delivered(),
-                    abandoned: self.metrics.abandoned(),
-                    stranded,
-                },
-            );
-        }
     }
 }
 
@@ -1037,7 +814,7 @@ impl Model for BaldurNet {
                         } else {
                             // Inner stages always have targets by
                             // construction; a miss would indicate a wiring
-                            // bug, so under `validate` it trips, and in
+                            // bug, so in debug builds it trips, and in
                             // release the packet is treated as dropped
                             // (recovered by the source timeout) instead of
                             // aborting the run.
@@ -1222,6 +999,110 @@ impl Model for BaldurNet {
     }
 }
 
+impl PacketModel for BaldurNet {
+    fn wake(node: u32) -> Ev {
+        Ev::Wake(node)
+    }
+
+    fn fault(idx: u32) -> Ev {
+        Ev::Fault(idx)
+    }
+
+    fn default_horizon_ns(&self, total_packets: u64) -> u64 {
+        // ~50x the time to stream the whole workload at line rate, plus
+        // slack for retransmission storms.
+        let per_node = total_packets / u64::from(self.active_nodes.max(1)) + 1;
+        50 * per_node * self.link.packet_time().as_ps() / 1_000 + 10_000_000
+    }
+
+    fn instruments(&mut self) -> (&mut Collector, &mut Oracle, &mut FaultPlan) {
+        (&mut self.metrics, &mut self.oracle, &mut self.plan)
+    }
+
+    /// Finishes the run and reports.
+    fn into_report(self, end: Time) -> LatencyReport {
+        let mut r = self.metrics.report(end);
+        r.oracle = self.oracle.summary();
+        r
+    }
+
+    /// Periodic oracle tick driven by the engine's observer hook: feeds
+    /// the stuck-flow detector with the number of packets still owed a
+    /// terminal outcome. Returns `true` when the run should abort.
+    fn oracle_tick(&mut self, now: Time) -> bool {
+        let per_nic: Vec<u64> = self.outstanding.iter().map(|&o| u64::from(o)).collect();
+        let outstanding: u64 = per_nic.iter().sum::<u64>() + self.in_flight;
+        // Each tick is one starvation observation window: a flow (source
+        // node) with work outstanding and zero deliveries for N windows
+        // while the rest of the machine progresses is starved.
+        self.oracle
+            .check_starvation(now.as_ps(), self.metrics.flow_delivered_counts(), &per_nic);
+        self.oracle.check_stall(now.as_ps(), outstanding)
+    }
+
+    /// Packet-conservation audit, valid only once the event queue has
+    /// drained: every generated packet was then delivered, dropped and
+    /// retransmitted to completion, abandoned, or shed — so nothing is in
+    /// flight, no NIC holds queued or unACKed work, and no coalesced ACK
+    /// is still owed. Discrepancies become structured oracle violations
+    /// on the report, in release builds too.
+    fn oracle_check_drained(&mut self, end: Time) {
+        let at = end.as_ps();
+        let queued = (0..self.active_nodes as usize)
+            .filter(|&i| !self.nic_is_empty(i))
+            .count() as u64;
+        let outstanding: u64 = self.outstanding.iter().map(|&o| u64::from(o)).sum();
+        let owed: u64 = self.pending_acks.iter().map(|p| p.len() as u64).sum();
+        self.oracle.check_residual(at, "in_flight", self.in_flight);
+        self.oracle.check_residual(at, "nic_queue", queued);
+        self.oracle.check_residual(at, "outstanding", outstanding);
+        self.oracle.check_residual(at, "pending_acks", owed);
+        self.oracle
+            .check_residual(at, "pending_batches", self.pending.live());
+        self.oracle
+            .check_residual(at, "ack_refs", self.ack_batches.live());
+        // Overload-shed packets (expired + refused at ingress) are part
+        // of the ledger.
+        let data = self.packets.iter().filter(|p| p.acks.is_none());
+        let tally = OutcomeTally::of(data.map(|p| p.outcome));
+        self.oracle.check_ledger(at, &self.metrics, Some(tally));
+    }
+
+    /// Kernel-state accounting (capacities, not live population): the
+    /// model half of [`StateStats`] — the caller adds scheduler figures.
+    fn state_stats(&self) -> StateStats {
+        fn bytes_of<T>(v: &Vec<T>) -> u64 {
+            (v.capacity() * std::mem::size_of::<T>()) as u64
+        }
+        let per_nic = bytes_of(&self.tx_busy_until)
+            + bytes_of(&self.try_scheduled)
+            + bytes_of(&self.outstanding)
+            + bytes_of(&self.backoff_exp)
+            + bytes_of(&self.in_window)
+            + bytes_of(&self.ack_head)
+            + bytes_of(&self.ack_tail)
+            + bytes_of(&self.data_head)
+            + bytes_of(&self.data_tail)
+            + bytes_of(&self.data_len)
+            + bytes_of(&self.pending_acks)
+            + self.pending_acks.iter().map(bytes_of).sum::<u64>();
+        StateStats {
+            state_bytes: bytes_of(&self.ports)
+                + per_nic
+                + bytes_of(&self.next_in_queue)
+                + bytes_of(&self.packets)
+                + self.pending.state_bytes()
+                + self.ack_batches.state_bytes()
+                + bytes_of(&self.batch_pool),
+            ack_batches: self.ack_batches.stats(),
+            pending_batches: self.pending.stats(),
+            peak_pending_events: 0,
+            events_scheduled: 0,
+            calendar_backed: false,
+        }
+    }
+}
+
 /// Convenience: run a Baldur simulation to completion.
 ///
 /// `horizon_ns` bounds simulated time (saturated configurations otherwise
@@ -1352,71 +1233,13 @@ fn simulate_impl(
     plan: &FaultPlan,
     oracle_cfg: OracleConfig,
 ) -> (LatencyReport, StateStats) {
-    let total = driver.total_to_send();
-    let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = BaldurNet::new(active_nodes, params, link, driver, seed, sample_cap);
-    model.oracle = Oracle::new(oracle_cfg);
-    if !plan.is_empty() {
-        let repairs = plan.repair_times();
-        let recovery = match (
-            repairs.is_empty(),
-            plan.events.iter().map(|e| e.at_ps).min(),
-        ) {
-            (false, Some(first_fault_ps)) => Some(RecoverySpec {
-                // 1 us bins resolve recovery on CI-scale runs while a
-                // 1 M-bin cap keeps long sweeps bounded.
-                bin_ps: 1_000_000,
-                frac: 0.5,
-                first_fault_ps,
-                repairs_ps: repairs,
-            }),
-            _ => None,
-        };
-        model.metrics = Collector::with_recovery(sample_cap, plan.epoch_boundaries(), recovery);
-        model.oracle.set_boundaries(plan.epoch_boundaries());
-        model.plan = plan.clone();
-    }
-    if !faults.is_empty() {
-        model.inject_faults(faults);
-    }
-    let initial = model.driver.initial();
-    let mut sim = Simulation::new(model);
-    for (node, t) in initial {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(t), Ev::Wake(node));
-    }
-    for (idx, ev) in plan.events.iter().enumerate() {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-    }
-    let horizon = Time::from_ns(horizon_ns.unwrap_or_else(|| {
-        // ~50x the time to stream the whole workload at line rate, plus
-        // slack for retransmission storms.
-        let per_node = total / u64::from(sim.model().active_nodes.max(1)) + 1;
-        50 * per_node * link.packet_time().as_ps() / 1_000 + 10_000_000
-    }));
-    // Every 8192 executed events (a deterministic cadence, independent of
-    // wall clock and thread count) the oracle's stuck-flow detector gets a
-    // look; a latched stall aborts the run so livelocks surface as a
-    // violation instead of burning the horizon.
-    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
-    #[cfg(feature = "validate")]
-    if stop == baldur_sim::StopReason::Drained {
-        sim.model().debug_validate_drained();
-    }
-    let end = sim.scheduler().now();
-    let events = sim.scheduler().events_executed();
-    let mut stats = sim.model().state_stats();
-    stats.peak_pending_events = sim.scheduler().peak_pending() as u64;
-    stats.events_scheduled = sim.scheduler().events_scheduled();
-    stats.calendar_backed = sim.scheduler().calendar_backed();
-    let mut model = sim.into_model();
-    if stop == baldur_sim::StopReason::Drained {
-        model.oracle_check_drained(end);
-    }
-    let mut report = model.into_report(end);
-    report.events = events;
-    (report, stats)
+    runner::simulate(driver, horizon_ns, plan, oracle_cfg, |driver, cap| {
+        let mut model = BaldurNet::new(active_nodes, params, link, driver, seed, cap);
+        if !faults.is_empty() {
+            model.inject_faults(faults);
+        }
+        model
+    })
 }
 
 #[cfg(test)]
@@ -1856,6 +1679,68 @@ mod tests {
         assert!(r.oracle.is_clean(), "oracle: {:?}", r.oracle);
         assert_eq!(r.recoveries.len(), plan.repair_times().len());
         assert!(r.flap_amplification() >= 1.0);
+    }
+
+    /// A small run driven to an empty event queue, and the instant it
+    /// drained.
+    fn drained_model() -> (BaldurNet, Time) {
+        let params = BaldurParams {
+            ack_coalesce_ps: 300_000,
+            ..BaldurParams::paper_for(16)
+        };
+        let d = Driver::open_loop(16, Pattern::RandomPermutation, 0.2, 10, &link(), 4);
+        let mut model = BaldurNet::new(16, params, link(), d, 4, 256);
+        let initial = model.driver.initial();
+        let mut sim = baldur_sim::Simulation::new(model);
+        for (node, t) in initial {
+            sim.scheduler_mut()
+                .schedule_at(Time::from_ps(t), Ev::Wake(node));
+        }
+        let stop = sim.run_until(Time::MAX, u64::MAX);
+        assert_eq!(stop, baldur_sim::StopReason::Drained, "load must drain");
+        let end = sim.scheduler().now();
+        (sim.into_model(), end)
+    }
+
+    #[test]
+    fn drain_audit_reports_every_planted_residue() {
+        let (mut clean, end) = drained_model();
+        clean.oracle_check_drained(end);
+        assert!(clean.oracle.summary().is_clean(), "a drained run is clean");
+        // One residue per retired drain assertion, each planted in a
+        // freshly drained model; the label is the violation it must raise.
+        let plants: [(&str, fn(&mut BaldurNet)); 8] = [
+            ("in_flight", |m| m.in_flight = 1),
+            ("nic_queue", |m| m.data_push_back(3, 0)),
+            ("outstanding", |m| m.outstanding[5] = 1),
+            ("pending_acks", |m| {
+                let batch = m.pending.insert(vec![0]);
+                m.pending_acks[2].push((7, batch));
+            }),
+            ("pending_batches", |m| {
+                m.pending.insert(vec![0]);
+            }),
+            ("ack_refs", |m| {
+                m.ack_batches.insert(vec![0, 1]);
+            }),
+            ("pending_packets", |m| {
+                let data = m.packets.iter().position(|p| p.acks.is_none()).unwrap();
+                m.packets[data].outcome = DeliveryOutcome::Pending;
+            }),
+            ("conservation", |m| m.metrics.on_abandoned(Time::ZERO)),
+        ];
+        for (label, plant) in plants {
+            let (mut m, end) = drained_model();
+            plant(&mut m);
+            m.oracle_check_drained(end);
+            let summary = m.oracle.summary();
+            let raised = summary.reports.iter().any(|r| match &r.violation {
+                Violation::ResidualState { what, .. } => what == label,
+                Violation::Conservation { .. } => label == "conservation",
+                _ => false,
+            });
+            assert!(raised, "{label} not reported: {summary:?}");
+        }
     }
 
     #[test]

@@ -25,15 +25,16 @@
 use std::collections::{BTreeMap, VecDeque};
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Duration, Model, Scheduler, Simulation, Time};
+use baldur_sim::{Duration, Model, Scheduler, Time};
 use baldur_topo::graph::NodeId;
 use baldur_topo::staged::Staged;
 
 use crate::config::{BaldurParams, LinkParams};
 use crate::driver::Driver;
-use crate::faults::{jittered_timeout_ps, FaultKind, FaultPlan, FaultState};
-use crate::metrics::{Collector, DeliveryOutcome, LatencyReport, RecoverySpec};
+use crate::faults::{jittered_timeout_ps, FaultPlan, FaultState};
+use crate::metrics::{Collector, DeliveryOutcome, LatencyReport, OutcomeTally};
 use crate::oracle::{Oracle, OracleConfig, Violation};
+use crate::runner::{self, PacketModel};
 
 /// Index into the packet table.
 type PktId = u32;
@@ -216,26 +217,6 @@ impl BaldurNet {
         }
     }
 
-    /// Marks switches as dead: every packet reaching one is dropped (the
-    /// Leighton–Maggs fault model — the multi-butterfly's randomized
-    /// multiplicity routes retransmissions around them).
-    pub fn inject_faults(&mut self, switches: &[(u32, u32)]) {
-        let width = self.topo.switches_per_stage();
-        for &(stage, switch) in switches {
-            assert!(
-                stage < self.topo.stages() && switch < width,
-                "fault out of range"
-            );
-            self.fstate
-                .apply(self.plan.seed, 0, &FaultKind::SwitchDown { stage, switch });
-        }
-    }
-
-    /// The wired topology in use.
-    pub fn topology(&self) -> &Staged {
-        &self.topo
-    }
-
     fn duration_of(&self, pkt: PktId) -> Duration {
         if self.packets[pkt as usize].acks.is_some() {
             self.link.ack_time()
@@ -344,11 +325,6 @@ impl BaldurNet {
     /// recorded as an oracle violation (and the decrement skipped)
     /// instead of wrapping.
     fn dec_in_flight(&mut self, now: Time) {
-        #[cfg(feature = "validate")]
-        debug_assert!(
-            self.in_flight > 0,
-            "in_flight underflow: drop/arrive without inject"
-        );
         if self.in_flight == 0 {
             self.oracle.record(
                 now.as_ps(),
@@ -387,189 +363,10 @@ impl BaldurNet {
         }
     }
 
-    /// Packet-conservation check, valid only once the event queue has
-    /// drained: every generated packet was then delivered, dropped and
-    /// retransmitted to completion, or abandoned — so nothing is in
-    /// flight, no NIC holds queued or unACKed work, and no coalesced ACK
-    /// is still owed.
-    #[cfg(feature = "validate")]
-    fn debug_validate_drained(&self) {
-        debug_assert_eq!(self.in_flight, 0, "packets still in flight after drain");
-        for (i, nic) in self.nics.iter().enumerate() {
-            debug_assert!(
-                nic.is_empty(),
-                "NIC {i} still has queued packets after drain"
-            );
-            debug_assert_eq!(
-                nic.outstanding, 0,
-                "NIC {i} still counts unACKed packets after drain"
-            );
-            debug_assert!(
-                nic.pending_acks.is_empty(),
-                "NIC {i} still owes coalesced ACKs after drain"
-            );
-        }
-        debug_assert!(
-            self.ack_refs.is_empty(),
-            "combined-ACK references leaked after drain"
-        );
-        // Packet conservation: at drain every data packet has reached a
-        // terminal outcome — delivered or GaveUp, never still Pending —
-        // and the metric counters agree exactly (delivered and abandoned
-        // are disjoint, so generated = delivered + abandoned even under
-        // fault plans that killed switches, links, or lasers mid-run).
-        let mut delivered = 0u64;
-        let mut gave_up = 0u64;
-        let mut expired = 0u64;
-        for st in self.packets.iter().filter(|p| p.acks.is_none()) {
-            match st.outcome {
-                DeliveryOutcome::Delivered => delivered += 1,
-                DeliveryOutcome::GaveUp => gave_up += 1,
-                DeliveryOutcome::Expired => expired += 1,
-                DeliveryOutcome::Pending => {
-                    debug_assert!(false, "packet leaked: no terminal outcome at drain")
-                }
-            }
-        }
-        debug_assert_eq!(self.metrics.delivered(), delivered, "delivered count drift");
-        debug_assert_eq!(self.metrics.abandoned(), gave_up, "abandoned count drift");
-        debug_assert_eq!(self.metrics.expired(), expired, "expired count drift");
-        debug_assert_eq!(
-            self.metrics.generated(),
-            delivered + gave_up + expired + self.metrics.ingress_drops(),
-            "conservation violated: generated != delivered + abandoned + \
-             expired + ingress drops"
-        );
-    }
-
     fn note_buffer(&mut self, node: u32) {
         let bytes =
             u64::from(self.nics[node as usize].outstanding) * u64::from(self.link.packet_bytes);
         self.metrics.on_retx_buffer(bytes);
-    }
-
-    /// Finishes the run and reports.
-    pub fn into_report(self, end: Time) -> LatencyReport {
-        let mut r = self.metrics.report(end);
-        r.oracle = self.oracle.summary();
-        r
-    }
-
-    /// Periodic oracle tick driven by the engine's observer hook: feeds
-    /// the stuck-flow detector with the number of packets still owed a
-    /// terminal outcome. Returns `true` when the run should abort.
-    fn oracle_tick(&mut self, now: Time) -> bool {
-        let per_nic: Vec<u64> = self.nics.iter().map(|n| u64::from(n.outstanding)).collect();
-        let outstanding: u64 = per_nic.iter().sum::<u64>() + self.in_flight;
-        // Each tick is one starvation observation window: a flow (source
-        // node) with work outstanding and zero deliveries for N windows
-        // while the rest of the machine progresses is starved.
-        self.oracle
-            .check_starvation(now.as_ps(), self.metrics.flow_delivered_counts(), &per_nic);
-        self.oracle.check_stall(now.as_ps(), outstanding)
-    }
-
-    /// Release-build drain audit mirroring [`Self::debug_validate_drained`]:
-    /// discrepancies become structured oracle violations on the report
-    /// instead of debug assertions, so chaos sweeps catch them in
-    /// `--release` too.
-    fn oracle_check_drained(&mut self, end: Time) {
-        let at = end.as_ps();
-        if self.in_flight > 0 {
-            let count = u64::from(self.in_flight);
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "in_flight".into(),
-                    count,
-                },
-            );
-        }
-        let queued = self.nics.iter().filter(|n| !n.is_empty()).count() as u64;
-        if queued > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "nic_queue".into(),
-                    count: queued,
-                },
-            );
-        }
-        let outstanding: u64 = self.nics.iter().map(|n| u64::from(n.outstanding)).sum();
-        if outstanding > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "outstanding".into(),
-                    count: outstanding,
-                },
-            );
-        }
-        let owed: u64 = self.nics.iter().map(|n| n.pending_acks.len() as u64).sum();
-        if owed > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_acks".into(),
-                    count: owed,
-                },
-            );
-        }
-        if !self.ack_refs.is_empty() {
-            let count = self.ack_refs.len() as u64;
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "ack_refs".into(),
-                    count,
-                },
-            );
-        }
-        let mut delivered = 0u64;
-        let mut gave_up = 0u64;
-        let mut expired = 0u64;
-        let mut pending = 0u64;
-        for st in self.packets.iter().filter(|p| p.acks.is_none()) {
-            match st.outcome {
-                DeliveryOutcome::Delivered => delivered += 1,
-                DeliveryOutcome::GaveUp => gave_up += 1,
-                DeliveryOutcome::Expired => expired += 1,
-                DeliveryOutcome::Pending => pending += 1,
-            }
-        }
-        if pending > 0 {
-            self.oracle.record(
-                at,
-                Violation::ResidualState {
-                    what: "pending_packets".into(),
-                    count: pending,
-                },
-            );
-        }
-        // Overload-shed packets (expired + refused at ingress) are part
-        // of the ledger: generated must equal delivered + abandoned +
-        // expired + ingress drops, exactly.
-        let generated = self.metrics.generated();
-        let shed = expired + self.metrics.ingress_drops();
-        if generated != delivered + gave_up + shed
-            || self.metrics.delivered() != delivered
-            || self.metrics.abandoned() != gave_up
-            || self.metrics.expired() != expired
-        {
-            let stranded = generated
-                .saturating_sub(delivered)
-                .saturating_sub(gave_up)
-                .saturating_sub(shed);
-            self.oracle.record(
-                at,
-                Violation::Conservation {
-                    generated,
-                    delivered: self.metrics.delivered(),
-                    abandoned: self.metrics.abandoned(),
-                    stranded,
-                },
-            );
-        }
     }
 }
 
@@ -803,7 +600,7 @@ impl Model for BaldurNet {
                         } else {
                             // Inner stages always have targets by
                             // construction; a miss would indicate a wiring
-                            // bug, so under `validate` it trips, and in
+                            // bug, so in debug builds it trips, and in
                             // release the packet is treated as dropped
                             // (recovered by the source timeout) instead of
                             // aborting the run.
@@ -987,48 +784,68 @@ impl Model for BaldurNet {
     }
 }
 
-/// Convenience: run a Baldur simulation to completion.
-///
-/// `horizon_ns` bounds simulated time (saturated configurations otherwise
-/// retry for a very long time); `None` uses a generous default derived from
-/// the workload size.
-pub fn simulate(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-) -> LatencyReport {
-    simulate_with_faults(active_nodes, params, link, driver, seed, horizon_ns, &[])
+impl PacketModel for BaldurNet {
+    fn wake(node: u32) -> Ev {
+        Ev::Wake(node)
+    }
+
+    fn fault(idx: u32) -> Ev {
+        Ev::Fault(idx)
+    }
+
+    fn default_horizon_ns(&self, total_packets: u64) -> u64 {
+        let per_node = total_packets / u64::from(self.active_nodes.max(1)) + 1;
+        50 * per_node * self.link.packet_time().as_ps() / 1_000 + 10_000_000
+    }
+
+    fn instruments(&mut self) -> (&mut Collector, &mut Oracle, &mut FaultPlan) {
+        (&mut self.metrics, &mut self.oracle, &mut self.plan)
+    }
+
+    /// Finishes the run and reports.
+    fn into_report(self, end: Time) -> LatencyReport {
+        let mut r = self.metrics.report(end);
+        r.oracle = self.oracle.summary();
+        r
+    }
+
+    /// Periodic oracle tick driven by the engine's observer hook: feeds
+    /// the stuck-flow detector with the number of packets still owed a
+    /// terminal outcome. Returns `true` when the run should abort.
+    fn oracle_tick(&mut self, now: Time) -> bool {
+        let per_nic: Vec<u64> = self.nics.iter().map(|n| u64::from(n.outstanding)).collect();
+        let outstanding: u64 = per_nic.iter().sum::<u64>() + self.in_flight;
+        // Each tick is one starvation observation window: a flow (source
+        // node) with work outstanding and zero deliveries for N windows
+        // while the rest of the machine progresses is starved.
+        self.oracle
+            .check_starvation(now.as_ps(), self.metrics.flow_delivered_counts(), &per_nic);
+        self.oracle.check_stall(now.as_ps(), outstanding)
+    }
+
+    /// Packet-conservation audit, valid only once the event queue has
+    /// drained: discrepancies become structured oracle violations on the
+    /// report, in release builds too.
+    fn oracle_check_drained(&mut self, end: Time) {
+        let at = end.as_ps();
+        let queued = self.nics.iter().filter(|n| !n.is_empty()).count() as u64;
+        let outstanding: u64 = self.nics.iter().map(|n| u64::from(n.outstanding)).sum();
+        let owed: u64 = self.nics.iter().map(|n| n.pending_acks.len() as u64).sum();
+        self.oracle.check_residual(at, "in_flight", self.in_flight);
+        self.oracle.check_residual(at, "nic_queue", queued);
+        self.oracle.check_residual(at, "outstanding", outstanding);
+        self.oracle.check_residual(at, "pending_acks", owed);
+        self.oracle
+            .check_residual(at, "ack_refs", self.ack_refs.len() as u64);
+        let data = self.packets.iter().filter(|p| p.acks.is_none());
+        let tally = OutcomeTally::of(data.map(|p| p.outcome));
+        self.oracle.check_ledger(at, &self.metrics, Some(tally));
+    }
 }
 
-/// [`simulate`] with a set of dead switches injected before the run.
-pub fn simulate_with_faults(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    faults: &[(u32, u32)],
-) -> LatencyReport {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
-        driver,
-        seed,
-        horizon_ns,
-        faults,
-        &FaultPlan::new(seed),
-        OracleConfig::default(),
-    )
-}
-
-/// [`simulate`] executing a full [`FaultPlan`]: scheduled kill/revive of
-/// switches, links, and lasers plus bit-error bursts, with per-fault-epoch
-/// metrics in the report.
+/// Runs the retired model executing a full [`FaultPlan`] — the
+/// `run_baseline` entry point the differential tests compare against
+/// `baldur_net::simulate_plan`.
 pub fn simulate_plan(
     active_nodes: u32,
     params: BaldurParams,
@@ -1038,117 +855,12 @@ pub fn simulate_plan(
     horizon_ns: Option<u64>,
     plan: &FaultPlan,
 ) -> LatencyReport {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
+    runner::simulate(
         driver,
-        seed,
         horizon_ns,
-        &[],
         plan,
         OracleConfig::default(),
+        |driver, cap| BaldurNet::new(active_nodes, params, link, driver, seed, cap),
     )
-}
-
-/// [`simulate_plan`] with an explicit [`OracleConfig`]: the chaos
-/// experiment tightens the stall deadline, and the shrinker fixture
-/// deliberately mis-tunes it to demonstrate plan minimization.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_chaos(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    plan: &FaultPlan,
-    oracle_cfg: OracleConfig,
-) -> LatencyReport {
-    simulate_impl(
-        active_nodes,
-        params,
-        link,
-        driver,
-        seed,
-        horizon_ns,
-        &[],
-        plan,
-        oracle_cfg,
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn simulate_impl(
-    active_nodes: u32,
-    params: BaldurParams,
-    link: LinkParams,
-    driver: Driver,
-    seed: u64,
-    horizon_ns: Option<u64>,
-    faults: &[(u32, u32)],
-    plan: &FaultPlan,
-    oracle_cfg: OracleConfig,
-) -> LatencyReport {
-    let total = driver.total_to_send();
-    let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = BaldurNet::new(active_nodes, params, link, driver, seed, sample_cap);
-    model.oracle = Oracle::new(oracle_cfg);
-    if !plan.is_empty() {
-        let repairs = plan.repair_times();
-        let recovery = match (
-            repairs.is_empty(),
-            plan.events.iter().map(|e| e.at_ps).min(),
-        ) {
-            (false, Some(first_fault_ps)) => Some(RecoverySpec {
-                // 1 us bins resolve recovery on CI-scale runs while a
-                // 1 M-bin cap keeps long sweeps bounded.
-                bin_ps: 1_000_000,
-                frac: 0.5,
-                first_fault_ps,
-                repairs_ps: repairs,
-            }),
-            _ => None,
-        };
-        model.metrics = Collector::with_recovery(sample_cap, plan.epoch_boundaries(), recovery);
-        model.oracle.set_boundaries(plan.epoch_boundaries());
-        model.plan = plan.clone();
-    }
-    if !faults.is_empty() {
-        model.inject_faults(faults);
-    }
-    let initial = model.driver.initial();
-    let mut sim = Simulation::new(model);
-    for (node, t) in initial {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(t), Ev::Wake(node));
-    }
-    for (idx, ev) in plan.events.iter().enumerate() {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-    }
-    let horizon = Time::from_ns(horizon_ns.unwrap_or_else(|| {
-        // ~50x the time to stream the whole workload at line rate, plus
-        // slack for retransmission storms.
-        let per_node = total / u64::from(sim.model().active_nodes.max(1)) + 1;
-        50 * per_node * link.packet_time().as_ps() / 1_000 + 10_000_000
-    }));
-    // Every 8192 executed events (a deterministic cadence, independent of
-    // wall clock and thread count) the oracle's stuck-flow detector gets a
-    // look; a latched stall aborts the run so livelocks surface as a
-    // violation instead of burning the horizon.
-    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
-    #[cfg(feature = "validate")]
-    if stop == baldur_sim::StopReason::Drained {
-        sim.model().debug_validate_drained();
-    }
-    let end = sim.scheduler().now();
-    let events = sim.scheduler().events_executed();
-    let mut model = sim.into_model();
-    if stop == baldur_sim::StopReason::Drained {
-        model.oracle_check_drained(end);
-    }
-    let mut report = model.into_report(end);
-    report.events = events;
-    report
+    .0
 }

@@ -74,8 +74,7 @@ impl Model for IdealNet {
 
 /// Runs the ideal network. The flat latency is 200 ns unless overridden.
 pub fn simulate(driver: Driver, latency_ns: Option<u64>) -> LatencyReport {
-    let total = driver.total_to_send();
-    let sample_cap = (total.min(2_000_000)) as usize + 16;
+    let sample_cap = crate::runner::sample_cap(driver.total_to_send());
     let mut model = IdealNet {
         driver,
         latency: Duration::from_ns(latency_ns.unwrap_or(200)),

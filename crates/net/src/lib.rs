@@ -27,7 +27,8 @@
 //!   conservation, credit balance, stuck-flow detection) whose structured
 //!   violation reports ride on every [`metrics::LatencyReport`],
 //! * [`runner`] — one entry point that builds any of the networks, applies
-//!   any workload, and returns a [`metrics::LatencyReport`].
+//!   any workload, and returns a [`metrics::LatencyReport`]; it also holds
+//!   the one run loop every packet model goes through.
 //!
 //! Both packet models keep their retired pre-SoA implementations
 //! ([`baldur_net_baseline`], [`router_net_baseline`]) for differential

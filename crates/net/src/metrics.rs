@@ -161,6 +161,36 @@ pub enum DeliveryOutcome {
     Expired,
 }
 
+/// Data-packet outcomes tallied at drain, for the oracle's ledger audit
+/// ([`crate::oracle::Oracle::check_ledger`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeTally {
+    /// Packets delivered.
+    pub delivered: u64,
+    /// Packets given up after the retry budget.
+    pub gave_up: u64,
+    /// Packets expired at their deadline.
+    pub expired: u64,
+    /// Packets with no terminal outcome.
+    pub pending: u64,
+}
+
+impl OutcomeTally {
+    /// Tallies one outcome per data packet.
+    pub fn of(outcomes: impl IntoIterator<Item = DeliveryOutcome>) -> Self {
+        let mut t = OutcomeTally::default();
+        for outcome in outcomes {
+            match outcome {
+                DeliveryOutcome::Delivered => t.delivered += 1,
+                DeliveryOutcome::GaveUp => t.gave_up += 1,
+                DeliveryOutcome::Expired => t.expired += 1,
+                DeliveryOutcome::Pending => t.pending += 1,
+            }
+        }
+        t
+    }
+}
+
 /// Per-fault-epoch accumulator (internal to [`Collector`]).
 #[derive(Debug, Clone, Default)]
 struct EpochAcc {

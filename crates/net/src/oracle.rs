@@ -1,10 +1,12 @@
 //! Always-on runtime invariant oracle for the network models.
 //!
-//! The `validate` feature gates *expensive* invariants (scheduler pop
-//! monotonicity, per-event conservation audits). This module is the
-//! cheap complement that ships in **release** builds: O(1) incremental
-//! checkers on the models' hot paths plus an O(state) drain audit,
-//! recording structured [`OracleReport`]s instead of panicking. A
+//! The repository's one invariant system, on in **release** builds: O(1)
+//! incremental checkers on the models' hot paths plus an O(state) drain
+//! audit ([`Oracle::check_residual`], [`Oracle::check_ledger`]),
+//! recording structured [`OracleReport`]s instead of panicking. Debug
+//! builds add assertions on top — the shared run loop refuses a drained
+//! run whose oracle recorded a conservation, counter-underflow or
+//! residual-state violation — but no checks of their own. A
 //! violated invariant in a chaos run is data — the chaos harness shrinks
 //! the fault plan around it and prints a reproduction — so the oracle
 //! must never tear the process down, and must itself be mechanically
@@ -14,7 +16,8 @@
 //! cost budget):
 //!
 //! * **packet conservation ledger** — at drain, `generated ==
-//!   delivered + abandoned` and no packet left `Pending`;
+//!   delivered + abandoned + expired + ingress drops` and no packet left
+//!   `Pending`;
 //! * **credit-balance accounting** — electrical models: credits never
 //!   exceed the VC cap, and at drain every credit counter is back to the
 //!   cap (a leak means repair did not restore state exactly);
@@ -32,6 +35,8 @@
 use baldur_sim::Time;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+use crate::metrics::{Collector, OutcomeTally};
 
 /// Capacity of the recent-event ring carried into a report.
 const TRACE_WINDOW: usize = 32;
@@ -423,6 +428,50 @@ impl Oracle {
             return;
         }
         self.record(at_ps, Violation::OccupancyBound { node, len, bound });
+    }
+
+    /// Drain audit: records a [`Violation::ResidualState`] when `count`
+    /// units of `what` were left over after the event queue drained.
+    pub fn check_residual(&mut self, at_ps: u64, what: &str, count: u64) {
+        if count > 0 {
+            let what = what.to_string();
+            self.record(at_ps, Violation::ResidualState { what, count });
+        }
+    }
+
+    /// Drain audit of the packet ledger: every generated packet was
+    /// delivered, abandoned, expired, or refused at ingress, exactly. A
+    /// model that keeps per-packet outcomes passes their `tally`, which
+    /// must agree with the collector's counters and leave no packet
+    /// pending; a model that keeps none passes `None`.
+    pub fn check_ledger(&mut self, at_ps: u64, metrics: &Collector, tally: Option<OutcomeTally>) {
+        let counted = OutcomeTally {
+            delivered: metrics.delivered(),
+            gave_up: metrics.abandoned(),
+            expired: metrics.expired(),
+            pending: 0,
+        };
+        let t = tally.unwrap_or(counted);
+        self.check_residual(at_ps, "pending_packets", t.pending);
+        let drift = (t.delivered, t.gave_up, t.expired)
+            != (counted.delivered, counted.gave_up, counted.expired);
+        let generated = metrics.generated();
+        let shed = t.expired + metrics.ingress_drops();
+        if drift || generated != t.delivered + t.gave_up + shed {
+            let stranded = generated
+                .saturating_sub(t.delivered)
+                .saturating_sub(t.gave_up)
+                .saturating_sub(shed);
+            self.record(
+                at_ps,
+                Violation::Conservation {
+                    generated,
+                    delivered: counted.delivered,
+                    abandoned: counted.gave_up,
+                    stranded,
+                },
+            );
+        }
     }
 
     /// True when nothing has been reported.

@@ -21,15 +21,16 @@
 //! byte-identical reports.
 
 use baldur_sim::rng::StreamRng;
-use baldur_sim::{Duration, Model, Scheduler, Simulation, Time};
+use baldur_sim::{Duration, Model, Scheduler, Time};
 use baldur_topo::graph::{Endpoint, NodeId, RouterGraph};
 
 use crate::config::{LinkParams, RouterParams};
 use crate::driver::Driver;
 use crate::faults::{nested_kill_set, FaultKind, FaultPlan};
-use crate::metrics::{Collector, LatencyReport, RecoverySpec};
+use crate::metrics::{Collector, LatencyReport};
 use crate::oracle::{Oracle, OracleConfig, Violation};
 use crate::routing::{RouteState, RoutingAlg};
+use crate::runner::{self, PacketModel};
 
 type PktId = u32;
 
@@ -591,116 +592,6 @@ impl RouterNet {
             self.schedule_arb(router, t, sched);
         }
     }
-
-    /// Finalizes the run.
-    pub fn into_report(self, end: Time) -> LatencyReport {
-        let mut r = self.metrics.report(end);
-        r.oracle = self.oracle.summary();
-        r
-    }
-
-    /// Periodic oracle tick from the engine's observer hook: the number
-    /// of packets still owed a terminal outcome feeds the stuck-flow
-    /// detector. Returns `true` when the run should abort.
-    fn oracle_tick(&mut self, now: Time) -> bool {
-        let outstanding = self
-            .metrics
-            .generated()
-            .saturating_sub(self.metrics.delivered())
-            .saturating_sub(self.metrics.abandoned())
-            .saturating_sub(self.metrics.expired())
-            .saturating_sub(self.metrics.ingress_drops());
-        self.oracle.check_starvation(
-            now.as_ps(),
-            self.metrics.flow_delivered_counts(),
-            &self.flow_pending,
-        );
-        self.oracle.check_stall(now.as_ps(), outstanding)
-    }
-
-    /// Release-build drain audit: with the event queue empty every packet
-    /// must have a terminal outcome, every queue must be empty, and every
-    /// credit counter must be back at capacity — including after
-    /// kill/revive cycles, because kills flush queues with upstream
-    /// refunds and credits keep returning to dead routers.
-    fn oracle_check_drained(&mut self, end: Time) {
-        let at = end.as_ps();
-        let generated = self.metrics.generated();
-        let delivered = self.metrics.delivered();
-        let abandoned = self.metrics.abandoned();
-        let shed = self.metrics.expired() + self.metrics.ingress_drops();
-        if generated != delivered + abandoned + shed {
-            self.oracle.record(
-                at,
-                Violation::Conservation {
-                    generated,
-                    delivered,
-                    abandoned,
-                    stranded: generated
-                        .saturating_sub(delivered)
-                        .saturating_sub(abandoned)
-                        .saturating_sub(shed),
-                },
-            );
-        }
-        let cap = self.vc_cap;
-        let vcs = self.rp.vcs as usize;
-        for r in 0..self.router_down.len() {
-            let qb = self.q_base(r as u32);
-            let nq = (self.graph.radix(r as u32) as usize) * vcs;
-            let queued: u64 = self.q_len[qb..qb + nq].iter().map(|&l| u64::from(l)).sum();
-            if queued > 0 {
-                self.oracle.record(
-                    at,
-                    Violation::ResidualState {
-                        what: format!("router[{r}].queues"),
-                        count: queued,
-                    },
-                );
-            }
-            for idx in 0..nq {
-                let c = self.credits[qb + idx];
-                if c != cap {
-                    self.oracle.record(
-                        at,
-                        Violation::CreditLeak {
-                            element: "router".into(),
-                            index: r as u32,
-                            port: idx as u32,
-                            credits: c,
-                            cap,
-                        },
-                    );
-                }
-            }
-        }
-        for n in 0..self.nic_head.len() {
-            if self.nic_head[n] != NONE {
-                self.oracle.record(
-                    at,
-                    Violation::ResidualState {
-                        what: format!("nic[{n}].queue"),
-                        count: u64::from(self.nic_len[n]),
-                    },
-                );
-            }
-            for vc in 0..vcs {
-                let c = self.nic_credits[n * vcs + vc];
-                if c != cap {
-                    self.oracle.record(
-                        at,
-                        Violation::CreditLeak {
-                            element: "nic".into(),
-                            index: n as u32,
-                            port: vc as u32,
-                            credits: c,
-                            cap,
-                        },
-                    );
-                }
-            }
-        }
-    }
 }
 
 impl Model for RouterNet {
@@ -973,6 +864,118 @@ impl Model for RouterNet {
     }
 }
 
+impl PacketModel for RouterNet {
+    fn wake(node: u32) -> Ev {
+        Ev::Wake(node)
+    }
+
+    fn fault(idx: u32) -> Ev {
+        Ev::Fault(idx)
+    }
+
+    fn default_horizon_ns(&self, total_packets: u64) -> u64 {
+        let per_node = total_packets / u64::from(self.driver.nodes().max(1)) + 1;
+        100 * per_node * self.link.packet_time().as_ps() / 1_000 + 50_000_000
+    }
+
+    fn instruments(&mut self) -> (&mut Collector, &mut Oracle, &mut FaultPlan) {
+        (&mut self.metrics, &mut self.oracle, &mut self.plan)
+    }
+
+    /// Finalizes the run.
+    fn into_report(self, end: Time) -> LatencyReport {
+        let mut r = self.metrics.report(end);
+        r.oracle = self.oracle.summary();
+        r
+    }
+
+    /// Periodic oracle tick from the engine's observer hook: the number
+    /// of packets still owed a terminal outcome feeds the stuck-flow
+    /// detector. Returns `true` when the run should abort.
+    fn oracle_tick(&mut self, now: Time) -> bool {
+        let outstanding = self
+            .metrics
+            .generated()
+            .saturating_sub(self.metrics.delivered())
+            .saturating_sub(self.metrics.abandoned())
+            .saturating_sub(self.metrics.expired())
+            .saturating_sub(self.metrics.ingress_drops());
+        self.oracle.check_starvation(
+            now.as_ps(),
+            self.metrics.flow_delivered_counts(),
+            &self.flow_pending,
+        );
+        self.oracle.check_stall(now.as_ps(), outstanding)
+    }
+
+    /// Release-build drain audit: with the event queue empty every packet
+    /// must have a terminal outcome, every queue must be empty, and every
+    /// credit counter must be back at capacity — including after
+    /// kill/revive cycles, because kills flush queues with upstream
+    /// refunds and credits keep returning to dead routers.
+    fn oracle_check_drained(&mut self, end: Time) {
+        let at = end.as_ps();
+        self.oracle.check_ledger(at, &self.metrics, None);
+        let cap = self.vc_cap;
+        let vcs = self.rp.vcs as usize;
+        for r in 0..self.router_down.len() {
+            let qb = self.q_base(r as u32);
+            let nq = (self.graph.radix(r as u32) as usize) * vcs;
+            let queued: u64 = self.q_len[qb..qb + nq].iter().map(|&l| u64::from(l)).sum();
+            if queued > 0 {
+                self.oracle.record(
+                    at,
+                    Violation::ResidualState {
+                        what: format!("router[{r}].queues"),
+                        count: queued,
+                    },
+                );
+            }
+            for idx in 0..nq {
+                let c = self.credits[qb + idx];
+                if c != cap {
+                    self.oracle.record(
+                        at,
+                        Violation::CreditLeak {
+                            element: "router".into(),
+                            index: r as u32,
+                            port: idx as u32,
+                            credits: c,
+                            cap,
+                        },
+                    );
+                }
+            }
+        }
+        for n in 0..self.nic_head.len() {
+            if self.nic_head[n] != NONE {
+                self.oracle.record(
+                    at,
+                    Violation::ResidualState {
+                        what: format!("nic[{n}].queue"),
+                        count: u64::from(self.nic_len[n]),
+                    },
+                );
+            }
+            for vc in 0..vcs {
+                let c = self.nic_credits[n * vcs + vc];
+                if c != cap {
+                    self.oracle.record(
+                        at,
+                        Violation::CreditLeak {
+                            element: "nic".into(),
+                            index: n as u32,
+                            port: vc as u32,
+                            credits: c,
+                            cap,
+                        },
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Runs an electrical network simulation to completion (or horizon).
 pub fn simulate(
     graph: RouterGraph,
@@ -1038,57 +1041,10 @@ pub fn simulate_chaos(
     plan: &FaultPlan,
     oracle_cfg: OracleConfig,
 ) -> LatencyReport {
-    let total = driver.total_to_send();
-    let nodes = driver.nodes().max(1);
-    let sample_cap = (total.min(2_000_000)) as usize + 16;
-    let mut model = RouterNet::new(graph, alg, link, rp, driver, seed, sample_cap);
-    model.oracle = Oracle::new(oracle_cfg);
-    if !plan.is_empty() {
-        let repairs = plan.repair_times();
-        let recovery = match (
-            repairs.is_empty(),
-            plan.events.iter().map(|e| e.at_ps).min(),
-        ) {
-            (false, Some(first_fault_ps)) => Some(RecoverySpec {
-                // 1 us bins resolve recovery on CI-scale runs while a
-                // 1 M-bin cap keeps long sweeps bounded.
-                bin_ps: 1_000_000,
-                frac: 0.5,
-                first_fault_ps,
-                repairs_ps: repairs,
-            }),
-            _ => None,
-        };
-        model.metrics = Collector::with_recovery(sample_cap, plan.epoch_boundaries(), recovery);
-        model.oracle.set_boundaries(plan.epoch_boundaries());
-        model.plan = plan.clone();
-    }
-    let initial_driver: Vec<(u32, u64)> = model.driver.initial();
-    let mut sim = Simulation::new(model);
-    for (node, t) in initial_driver {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(t), Ev::Wake(node));
-    }
-    for (idx, ev) in plan.events.iter().enumerate() {
-        sim.scheduler_mut()
-            .schedule_at(Time::from_ps(ev.at_ps), Ev::Fault(idx as u32));
-    }
-    let horizon = Time::from_ns(horizon_ns.unwrap_or_else(|| {
-        let per_node = total / u64::from(nodes) + 1;
-        100 * per_node * link.packet_time().as_ps() / 1_000 + 50_000_000
-    }));
-    // Deterministic event-count cadence for the stuck-flow detector; a
-    // latched stall aborts instead of burning the horizon.
-    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
-    let end = sim.scheduler().now();
-    let events = sim.scheduler().events_executed();
-    let mut model = sim.into_model();
-    if stop == baldur_sim::StopReason::Drained {
-        model.oracle_check_drained(end);
-    }
-    let mut report = model.into_report(end);
-    report.events = events;
-    report
+    runner::simulate(driver, horizon_ns, plan, oracle_cfg, |driver, cap| {
+        RouterNet::new(graph, alg, link, rp, driver, seed, cap)
+    })
+    .0
 }
 
 #[cfg(test)]
@@ -1097,6 +1053,7 @@ mod tests {
     use crate::driver::Driver;
     use crate::routing::build_mb_graph;
     use crate::traffic::Pattern;
+    use baldur_sim::Simulation;
     use baldur_topo::dragonfly::Dragonfly;
     use baldur_topo::fattree::FatTree;
     use baldur_topo::multibutterfly::MultiButterfly;

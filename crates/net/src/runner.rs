@@ -1,15 +1,19 @@
 //! One entry point for every (network × workload) simulation the paper's
-//! figures need.
+//! figures need, and the one run loop every packet model shares.
 
+use baldur_sim::{Model, Simulation, StopReason, Time};
 use baldur_topo::dragonfly::Dragonfly;
 use baldur_topo::fattree::FatTree;
+use baldur_topo::graph::RouterGraph;
 use baldur_topo::multibutterfly::MultiButterfly;
 use serde::{Deserialize, Serialize};
 
+use crate::baldur_net::StateStats;
 use crate::config::{BaldurParams, LinkParams, RouterParams};
 use crate::driver::Driver;
 use crate::faults::FaultPlan;
-use crate::metrics::LatencyReport;
+use crate::metrics::{Collector, LatencyReport, RecoverySpec};
+use crate::oracle::{Oracle, OracleConfig, Violation};
 use crate::routing::{build_mb_graph, RoutingAlg};
 use crate::traffic::Pattern;
 use crate::workloads::{self, HpcApp, TraceParams};
@@ -47,35 +51,26 @@ pub enum NetworkKind {
     Ideal,
 }
 
+/// Every name [`NetworkKind::by_name`] resolves, in lineup order. The
+/// paper's Sec. V lineup is all of them but `dragonfly_minimal`, the
+/// routing ablation.
+const NETWORK_NAMES: [&str; 6] = [
+    "baldur",
+    "electrical_mb",
+    "dragonfly",
+    "dragonfly_minimal",
+    "fattree",
+    "ideal",
+];
+
 impl NetworkKind {
     /// All five networks at the paper's defaults for `nodes` servers.
     pub fn paper_lineup(nodes: u32) -> Vec<(String, NetworkKind)> {
-        vec![
-            (
-                "baldur".into(),
-                NetworkKind::Baldur(BaldurParams::paper_for(u64::from(nodes))),
-            ),
-            (
-                "electrical_mb".into(),
-                NetworkKind::ElectricalMultiButterfly {
-                    multiplicity: 4,
-                    router: RouterParams::paper(),
-                },
-            ),
-            (
-                "dragonfly".into(),
-                NetworkKind::Dragonfly {
-                    router: RouterParams::paper(),
-                },
-            ),
-            (
-                "fattree".into(),
-                NetworkKind::FatTree {
-                    router: RouterParams::paper(),
-                },
-            ),
-            ("ideal".into(), NetworkKind::Ideal),
-        ]
+        NETWORK_NAMES
+            .into_iter()
+            .filter(|&name| name != "dragonfly_minimal")
+            .filter_map(|name| Some((name.to_string(), NetworkKind::by_name(name, nodes)?)))
+            .collect()
     }
 
     /// Resolves one lineup entry from its stable display name (the
@@ -120,8 +115,8 @@ impl NetworkKind {
             .map(|name| match NetworkKind::by_name(name, nodes) {
                 Some(net) => Ok((name.clone(), net)),
                 None => Err(format!(
-                    "unknown network `{name}` (choose from: baldur, electrical_mb, \
-                     dragonfly, dragonfly_minimal, fattree, ideal)"
+                    "unknown network `{name}` (choose from: {})",
+                    NETWORK_NAMES.join(", ")
                 )),
             })
             .collect()
@@ -277,88 +272,7 @@ fn build_driver(cfg: &RunConfig) -> Driver {
 /// Panics on malformed configurations (e.g. transpose on a non-square node
 /// count) — the harnesses construct only valid ones.
 pub fn run(cfg: &RunConfig) -> LatencyReport {
-    let driver = build_driver(cfg);
-    // An absent schedule is the empty plan: both simulators take the
-    // fault-free fast path on it, bit-identical to a plain run.
-    let plan = cfg
-        .faults
-        .clone()
-        .unwrap_or_else(|| FaultPlan::new(cfg.seed));
-    match &cfg.network {
-        NetworkKind::Baldur(params) => baldur_net::simulate_plan(
-            cfg.nodes,
-            *params,
-            cfg.link,
-            driver,
-            cfg.seed,
-            cfg.horizon_ns,
-            &plan,
-        ),
-        NetworkKind::ElectricalMultiButterfly {
-            multiplicity,
-            router,
-        } => {
-            let topo_nodes = cfg.nodes.next_power_of_two().max(4);
-            let mb = MultiButterfly::new(topo_nodes, *multiplicity, cfg.seed);
-            // Node fibers 100 ns (Table VI); same-room stage links short.
-            let graph = build_mb_graph(&mb, 100_000, 10_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::MultiButterfly(mb),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::Dragonfly { router } => {
-            let df = Dragonfly::at_least(u64::from(cfg.nodes));
-            // Table VI: intra-group 10 ns, inter-group 100 ns.
-            let graph = df.build_graph(10_000, 100_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::Dragonfly(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::DragonflyMinimal { router } => {
-            let df = Dragonfly::at_least(u64::from(cfg.nodes));
-            let graph = df.build_graph(10_000, 100_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::DragonflyMinimal(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::FatTree { router } => {
-            let ft = FatTree::at_least(u64::from(cfg.nodes));
-            // Table VI: level 1/2/3 links at 10/50/100 ns.
-            let graph = ft.build_graph(10_000, 50_000, 100_000);
-            router_net::simulate_plan(
-                graph,
-                RoutingAlg::FatTree(ft),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
-        }
-        NetworkKind::Ideal => ideal_net::simulate(driver, None),
-    }
+    run_with(cfg, baldur_net::simulate_plan, router_net::simulate_plan)
 }
 
 /// [`run`] through the retired map-based packet models
@@ -373,83 +287,91 @@ pub fn run(cfg: &RunConfig) -> LatencyReport {
 ///
 /// Panics on malformed configurations, exactly like [`run`].
 pub fn run_baseline(cfg: &RunConfig) -> LatencyReport {
+    run_with(
+        cfg,
+        baldur_net_baseline::simulate_plan,
+        router_net_baseline::simulate_plan,
+    )
+}
+
+/// The `simulate_plan` signature of the Baldur models.
+type BaldurSim =
+    fn(u32, BaldurParams, LinkParams, Driver, u64, Option<u64>, &FaultPlan) -> LatencyReport;
+
+/// The `simulate_plan` signature of the electrical models.
+type RouterSim = fn(
+    RouterGraph,
+    RoutingAlg,
+    LinkParams,
+    RouterParams,
+    Driver,
+    u64,
+    Option<u64>,
+    &FaultPlan,
+) -> LatencyReport;
+
+/// Builds `cfg`'s driver, fault plan and topology once, and runs them
+/// through the given Baldur or electrical model.
+fn run_with(cfg: &RunConfig, baldur: BaldurSim, router: RouterSim) -> LatencyReport {
     let driver = build_driver(cfg);
+    // An absent schedule is the empty plan: both simulators take the
+    // fault-free fast path on it, bit-identical to a plain run.
     let plan = cfg
         .faults
         .clone()
         .unwrap_or_else(|| FaultPlan::new(cfg.seed));
-    match &cfg.network {
-        NetworkKind::Baldur(params) => baldur_net_baseline::simulate_plan(
-            cfg.nodes,
-            *params,
-            cfg.link,
-            driver,
-            cfg.seed,
-            cfg.horizon_ns,
-            &plan,
-        ),
+    let nodes = u64::from(cfg.nodes);
+    let (graph, alg, rp) = match &cfg.network {
+        NetworkKind::Baldur(params) => {
+            return baldur(
+                cfg.nodes,
+                *params,
+                cfg.link,
+                driver,
+                cfg.seed,
+                cfg.horizon_ns,
+                &plan,
+            )
+        }
+        NetworkKind::Ideal => return ideal_net::simulate(driver, None),
         NetworkKind::ElectricalMultiButterfly {
             multiplicity,
             router,
         } => {
             let topo_nodes = cfg.nodes.next_power_of_two().max(4);
             let mb = MultiButterfly::new(topo_nodes, *multiplicity, cfg.seed);
+            // Node fibers 100 ns (Table VI); same-room stage links short.
             let graph = build_mb_graph(&mb, 100_000, 10_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::MultiButterfly(mb),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::MultiButterfly(mb), router)
         }
         NetworkKind::Dragonfly { router } => {
-            let df = Dragonfly::at_least(u64::from(cfg.nodes));
+            let df = Dragonfly::at_least(nodes);
+            // Table VI: intra-group 10 ns, inter-group 100 ns.
             let graph = df.build_graph(10_000, 100_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::Dragonfly(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::Dragonfly(df), router)
         }
         NetworkKind::DragonflyMinimal { router } => {
-            let df = Dragonfly::at_least(u64::from(cfg.nodes));
+            let df = Dragonfly::at_least(nodes);
             let graph = df.build_graph(10_000, 100_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::DragonflyMinimal(df),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::DragonflyMinimal(df), router)
         }
         NetworkKind::FatTree { router } => {
-            let ft = FatTree::at_least(u64::from(cfg.nodes));
+            let ft = FatTree::at_least(nodes);
+            // Table VI: level 1/2/3 links at 10/50/100 ns.
             let graph = ft.build_graph(10_000, 50_000, 100_000);
-            router_net_baseline::simulate_plan(
-                graph,
-                RoutingAlg::FatTree(ft),
-                cfg.link,
-                *router,
-                driver,
-                cfg.seed,
-                cfg.horizon_ns,
-                &plan,
-            )
+            (graph, RoutingAlg::FatTree(ft), router)
         }
-        NetworkKind::Ideal => ideal_net::simulate(driver, None),
-    }
+    };
+    router(
+        graph,
+        alg,
+        cfg.link,
+        *rp,
+        driver,
+        cfg.seed,
+        cfg.horizon_ns,
+        &plan,
+    )
 }
 
 /// Runs a batch of independent configurations across up to `threads`
@@ -487,14 +409,166 @@ pub fn try_run_many(threads: usize, cfgs: Vec<RunConfig>) -> Vec<Result<LatencyR
         .collect()
 }
 
+// ---- The shared packet-model run loop ----
+
+/// What a packet model supplies to [`simulate`]: everything else about a
+/// run is the same for `baldur_net`, `router_net` and their retired
+/// `_baseline` twins.
+pub(crate) trait PacketModel: Model + Sized {
+    /// The driver wakeup event for `node`.
+    fn wake(node: u32) -> Self::Event;
+
+    /// The event applying fault-plan entry `idx` at its `at_ps`.
+    fn fault(idx: u32) -> Self::Event;
+
+    /// The simulated-time bound (ns) of a run whose caller gave none,
+    /// for a workload of `total_packets`.
+    fn default_horizon_ns(&self, total_packets: u64) -> u64;
+
+    /// The per-run instruments [`simulate`] installs: the metrics
+    /// collector, the oracle, and the fault plan the model executes.
+    fn instruments(&mut self) -> (&mut Collector, &mut Oracle, &mut FaultPlan);
+
+    /// Periodic oracle tick (stuck-flow and starvation watermarks).
+    /// Returns `true` when the run should abort.
+    fn oracle_tick(&mut self, now: Time) -> bool;
+
+    /// The drain audit, run once the event queue drained: whatever the
+    /// model holds that a finished run must not (packets in flight,
+    /// queued or unACKed work, leaked credits or batches, an unbalanced
+    /// packet ledger) becomes an oracle violation.
+    fn oracle_check_drained(&mut self, end: Time);
+
+    /// Finishes the run and reports.
+    fn into_report(self, end: Time) -> LatencyReport;
+
+    /// Kernel-state accounting; [`simulate`] adds the scheduler figures.
+    fn state_stats(&self) -> StateStats {
+        StateStats::default()
+    }
+}
+
+/// The latency-sample cap every simulator gives its [`Collector`].
+pub(crate) fn sample_cap(total_packets: u64) -> usize {
+    total_packets.min(2_000_000) as usize + 16
+}
+
+/// Runs one packet model to completion (or its horizon) and reports.
+///
+/// `build` constructs the model from the driver and the latency-sample
+/// cap. The harness then installs an oracle tuned by `oracle_cfg` and,
+/// for a non-empty `plan`, per-fault-epoch metrics with recovery
+/// measurement; schedules the driver's first wakes and every fault
+/// event; and runs with an oracle tick every 8192 executed events (a
+/// deterministic cadence, independent of wall clock and thread count),
+/// so a latched stall aborts the run instead of burning the horizon. A
+/// drained run gets the model's drain audit.
+///
+/// In debug builds a drained run must also come out free of the
+/// violation kinds that only a model bug produces (see
+/// [`is_model_bug`]), so every debug `cargo test` run holds the models
+/// to their conservation and residual-state invariants.
+pub(crate) fn simulate<M: PacketModel>(
+    mut driver: Driver,
+    horizon_ns: Option<u64>,
+    plan: &FaultPlan,
+    oracle_cfg: OracleConfig,
+    build: impl FnOnce(Driver, usize) -> M,
+) -> (LatencyReport, StateStats) {
+    let total = driver.total_to_send();
+    let cap = sample_cap(total);
+    let initial = driver.initial();
+    let mut model = build(driver, cap);
+    let (metrics, oracle, model_plan) = model.instruments();
+    *oracle = Oracle::new(oracle_cfg);
+    if !plan.is_empty() {
+        *metrics = Collector::with_recovery(cap, plan.epoch_boundaries(), recovery_spec(plan));
+        oracle.set_boundaries(plan.epoch_boundaries());
+        *model_plan = plan.clone();
+    }
+    let horizon = Time::from_ns(horizon_ns.unwrap_or_else(|| model.default_horizon_ns(total)));
+    let mut sim = Simulation::new(model);
+    let sched = sim.scheduler_mut();
+    for (node, t) in initial {
+        sched.schedule_at(Time::from_ps(t), M::wake(node));
+    }
+    for (idx, ev) in plan.events.iter().enumerate() {
+        sched.schedule_at(Time::from_ps(ev.at_ps), M::fault(idx as u32));
+    }
+    let stop = sim.run_until_observed(horizon, u64::MAX, 8192, |m, now| !m.oracle_tick(now));
+    let sched = sim.scheduler();
+    let end = sched.now();
+    let events = sched.events_executed();
+    let mut stats = sim.model().state_stats();
+    stats.peak_pending_events = sched.peak_pending() as u64;
+    stats.events_scheduled = sched.events_scheduled();
+    stats.calendar_backed = sched.calendar_backed();
+    let mut model = sim.into_model();
+    let drained = stop == StopReason::Drained;
+    if drained {
+        model.oracle_check_drained(end);
+    }
+    let mut report = model.into_report(end);
+    report.events = events;
+    if cfg!(debug_assertions) && drained {
+        if let Some(bug) = report
+            .oracle
+            .reports
+            .iter()
+            .find(|r| is_model_bug(&r.violation))
+        {
+            panic!("drained run broke a model invariant: {bug}");
+        }
+    }
+    (report, stats)
+}
+
+/// Recovery measurement for a plan that repairs something: goodput is
+/// binned from the first fault, and each repair is timed back to half
+/// the pre-fault baseline.
+fn recovery_spec(plan: &FaultPlan) -> Option<RecoverySpec> {
+    let repairs_ps = plan.repair_times();
+    let first_fault_ps = plan.events.iter().map(|e| e.at_ps).min()?;
+    (!repairs_ps.is_empty()).then_some(RecoverySpec {
+        // 1 us bins resolve recovery on CI-scale runs while a 1 M-bin cap
+        // keeps long sweeps bounded.
+        bin_ps: 1_000_000,
+        frac: 0.5,
+        first_fault_ps,
+        repairs_ps,
+    })
+}
+
+/// Violation kinds no fault plan or overload can cause on a drained
+/// run, only a model bug: an unbalanced packet ledger, a counter
+/// decremented below zero, or state left over after the drain.
+fn is_model_bug(v: &Violation) -> bool {
+    matches!(
+        v,
+        Violation::Conservation { .. }
+            | Violation::CounterUnderflow { .. }
+            | Violation::ResidualState { .. }
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn by_name_reconstructs_the_paper_lineup() {
-        for (name, net) in NetworkKind::paper_lineup(128) {
+        let lineup = NetworkKind::paper_lineup(128);
+        let order: Vec<&str> = lineup.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            order,
+            ["baldur", "electrical_mb", "dragonfly", "fattree", "ideal"]
+        );
+        for (name, net) in lineup {
             assert_eq!(NetworkKind::by_name(&name, 128), Some(net), "{name}");
+        }
+        for name in NETWORK_NAMES {
+            let net = NetworkKind::by_name(name, 128);
+            assert_eq!(net.map(|n| n.name()), Some(name), "{name} round-trips");
         }
         assert!(NetworkKind::by_name("dragonfly_minimal", 128).is_some());
         assert!(NetworkKind::by_name("token_ring", 128).is_none());

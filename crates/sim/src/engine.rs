@@ -115,10 +115,10 @@ pub struct Scheduler<E> {
     auto_promote: bool,
     /// Peak simultaneous pending events over the scheduler's lifetime.
     peak_pending: usize,
-    /// `(time, seq)` of the last popped event, for the `validate`-feature
+    /// `(time, seq)` of the last popped event, for the debug-build
     /// invariant checks (popped times never decrease; same-time pops obey
     /// FIFO order).
-    #[cfg(feature = "validate")]
+    #[cfg(debug_assertions)]
     last_pop: Option<(Time, u64)>,
 }
 
@@ -135,7 +135,7 @@ impl<E> Scheduler<E> {
             executed: 0,
             auto_promote: true,
             peak_pending: 0,
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             last_pop: None,
         }
     }
@@ -160,7 +160,7 @@ impl<E> Scheduler<E> {
             executed: 0,
             auto_promote: false,
             peak_pending: 0,
-            #[cfg(feature = "validate")]
+            #[cfg(debug_assertions)]
             last_pop: None,
         }
     }
@@ -262,7 +262,7 @@ impl<E> Scheduler<E> {
     /// the two queue backends rather than just the timestamps.
     pub fn pop_scheduled(&mut self) -> Option<(Time, u64, E)> {
         let (at, seq, event) = self.queue.pop()?;
-        #[cfg(feature = "validate")]
+        #[cfg(debug_assertions)]
         {
             debug_assert!(
                 at >= self.now,

@@ -3,8 +3,8 @@
 //!
 //! Runs on a small topology so the whole file finishes in seconds; the
 //! same checks at sweep scale live in `baldur-bench --bin faults
-//! --smoke`. Under `--features validate` every run here additionally
-//! passes the models' drained-state audits (no packet leaked: each one
+//! --smoke`. In debug builds every drained run here additionally passes
+//! the models' drain audits as assertions (no packet leaked: each one
 //! delivered, dropped, or GaveUp).
 
 use baldur::prelude::*;
