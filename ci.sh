@@ -84,37 +84,37 @@ run_step test cargo test -q
 run_step thread-invariance cargo test -q --test thread_invariance
 run_step golden cargo test -q --test golden_suite
 run_step test-workspace cargo test --workspace -q
-# Registry gates: the runner must enumerate every registered experiment,
-# and the completeness suite enforces bin <-> spec bijection, golden (or
-# recorded exemption) coverage, descriptor round-trips, and a fresh
-# EXPERIMENTS.md table.
-run_step registry-smoke cargo run --release -p baldur-bench --bin all_figures -- --list
+# Registry gates: the dispatcher must enumerate every registered
+# experiment, and the completeness suite enforces valid `baldur all`
+# overrides, golden (or recorded exemption) coverage, descriptor
+# round-trips, and a fresh EXPERIMENTS.md table.
+run_step registry-smoke cargo run --release -p baldur-bench --bin baldur -- --list
 run_step registry-completeness cargo test -q --test registry_suite
 # Fault-injection smoke: small topology, 5% failures, fixed seed; asserts
 # packet conservation and run-to-run byte-identity, exits nonzero on drift.
-run_step fault-smoke cargo run --release -p baldur-bench --bin faults -- --smoke
+run_step fault-smoke cargo run --release -p baldur-bench --bin baldur -- faults --smoke
 # Crash-recovery smoke: SIGKILL a sweep subprocess mid-run, resume it from
 # the completion journal, and require byte-identical figure output.
 run_step crash-recovery-smoke cargo test -q --test crash_recovery
 # Chaos smoke: seeded fail/repair schedules with the runtime invariant
 # oracle on; asserts zero violations, byte-identical repeat runs, and the
 # recovery-time bound, and prints a minimized reproduction on failure.
-run_step chaos-smoke cargo run --release -p baldur-bench --bin chaos -- --smoke
+run_step chaos-smoke cargo run --release -p baldur-bench --bin baldur -- chaos --smoke
 # Overload smoke: incast/hotcast storms at 0.5x-4x load with the
 # admission/pacing/deadline controls on; asserts the graceful-degradation
 # floor, a quiet starvation/occupancy oracle, exact packet conservation,
 # and byte-identical repeat runs.
-run_step overload-smoke cargo run --release -p baldur-bench --bin overload -- --smoke
+run_step overload-smoke cargo run --release -p baldur-bench --bin baldur -- overload --smoke
 # Perf smoke: the hot-path benchmark workloads re-run their exact work
 # counters (events popped, symbols coded, packets delivered) and gate
 # them against results/golden/perf_ops.json — byte-identical at one
 # worker thread and at eight; wall-clock numbers stay advisory.
-run_step perf-smoke-1t env BALDUR_THREADS=1 cargo run --release -p baldur-bench --bin perf -- --smoke
-run_step perf-smoke-8t env BALDUR_THREADS=8 cargo run --release -p baldur-bench --bin perf -- --smoke
+run_step perf-smoke-1t env BALDUR_THREADS=1 cargo run --release -p baldur-bench --bin baldur -- perf --smoke
+run_step perf-smoke-8t env BALDUR_THREADS=8 cargo run --release -p baldur-bench --bin baldur -- perf --smoke
 # Scaling smoke: the 1K->4K head of the million-endpoint curve through
 # the SoA kernel; asserts byte-identical repeat runs, 1-vs-8-thread sweep
 # invariance, and packet conservation (wall/RSS columns stay advisory).
-run_step scaling-smoke cargo run --release -p baldur-bench --bin scaling -- --smoke
+run_step scaling-smoke cargo run --release -p baldur-bench --bin baldur -- scaling --smoke
 
 write_summary
 echo "=== OK (summary: ${summary})"

@@ -3,117 +3,122 @@
 //! epilogue/exit helpers. Everything that may terminate the process
 //! lives here (see `allowlist.txt`); `runner.rs` stays exit-free.
 
-use std::collections::HashMap;
 use std::time::Duration;
 
 use baldur::experiments::EvalConfig;
 use baldur::supervise::Policy;
 use baldur::sweep::{Sweep, DEFAULT_CACHE_DIR};
 
-/// Renders the shared flag reference for usage errors.
-pub fn usage() -> String {
-    "common flags:\n\
-     --nodes N            active server nodes\n\
-     --packets N          packets per node (open-loop runs)\n\
-     --rounds N           ping-pong rounds\n\
-     --seed N             master seed\n\
-     --threads N          worker threads (0 = all cores)\n\
-     --json PATH          also write structured results as JSON\n\
-     --cache-dir DIR      run-cache directory (default results/cache)\n\
-     --no-cache           recompute every run\n\
-     --resume             replay journal-confirmed jobs after a crash\n\
-     --job-timeout SECS   per-attempt watchdog deadline (default off)\n\
-     --timeout-retries N  extra attempts for a timed-out job (default 2)\n\
-     --fail-budget N      tolerated failures before aborting the sweep\n\
-     --paper              full paper scale (slow)\n\
-     --csv PATH           also write the experiment's CSV table\n\
-     --set axis=VALUES    override a declared experiment axis\n\
-     --list               list every registered experiment and exit\n\
-     --describe           print this experiment's JSON descriptor and exit"
-        .to_string()
-}
+/// The flags every invocation accepts, as `(name, value placeholder,
+/// help)`; an empty placeholder marks a boolean switch. The usage text
+/// renders this table and the dispatcher validates against it.
+#[rustfmt::skip]
+pub const COMMON_FLAGS: &[(&str, &str, &str)] = &[
+    ("nodes", "N", "active server nodes"),
+    ("packets", "N", "packets per node (open-loop runs)"),
+    ("rounds", "N", "ping-pong rounds"),
+    ("seed", "N", "master seed"),
+    ("threads", "N", "worker threads (0 = all cores)"),
+    ("json", "PATH", "also write structured results as JSON"),
+    ("cache-dir", "DIR", "run-cache directory (default results/cache)"),
+    ("no-cache", "", "recompute every run"),
+    ("resume", "", "replay journal-confirmed jobs after a crash"),
+    ("job-timeout", "SECS", "per-attempt watchdog deadline (default off)"),
+    ("timeout-retries", "N", "extra attempts for a timed-out job (default 2)"),
+    ("fail-budget", "N", "tolerated failures before aborting the sweep"),
+    ("paper", "", "full paper scale (slow)"),
+    ("csv", "PATH", "also write the experiment's CSV table"),
+    ("set", "axis=VALUES", "override a declared experiment axis (repeatable)"),
+    ("list", "", "list every registered experiment and exit"),
+    ("describe", "", "print this experiment's JSON descriptor and exit"),
+];
 
-/// Reports a usage error on stderr and exits with code 2 (the
-/// conventional bad-invocation code, distinct from exit 1 = sweep
-/// aborted). Bench binaries are exempt from the library-side
-/// `process-exit` lint precisely for this path.
+/// Reports a usage error, the invocation forms and the common flags on
+/// stderr, and exits with code 2 (the conventional bad-invocation code,
+/// distinct from exit 1 = sweep aborted).
 pub fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n\n{}", usage());
+    eprintln!(
+        "error: {msg}\n\n\
+         usage: baldur <experiment> [flags]    run one registered experiment\n       \
+         baldur all [--out DIR] [flags] run every experiment into DIR (default results)\n       \
+         baldur --list                  list the registered experiments\n\n\
+         common flags:"
+    );
+    for (name, value, help) in COMMON_FLAGS {
+        eprintln!("{:<21}{help}", format!("--{name} {value}"));
+    }
     std::process::exit(2);
 }
 
-/// Minimal `--key value` argument parser (plus boolean `--flag`s).
+/// The parsed command line: the experiment name (the one positional
+/// argument, which comes first) and every `--key [value]` option in
+/// command-line order.
 #[derive(Debug, Clone, Default)]
 pub struct Args {
-    map: HashMap<String, String>,
-    flags: Vec<String>,
+    name: Option<String>,
+    opts: Vec<(String, Option<String>)>,
 }
 
 impl Args {
-    /// Parses the process arguments. An argument that is not
-    /// `--key [value]` is a usage error (exit 2), not a panic.
+    /// Parses the process arguments; a malformed command line is a
+    /// usage error (exit 2), not a panic.
     pub fn parse() -> Self {
-        let mut map = HashMap::new();
-        let mut flags = Vec::new();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            let Some(key) = argv[i].strip_prefix("--") else {
-                usage_error(&format!("unexpected argument `{}`", argv[i]));
-            };
-            let key = key.to_string();
-            if i + 1 < argv.len() && !argv[i + 1].starts_with("--") {
-                map.insert(key, argv[i + 1].clone());
-                i += 2;
-            } else {
-                flags.push(key);
-                i += 1;
-            }
-        }
-        Args { map, flags }
+        Self::from_argv(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// True if `--name` was passed as a flag.
+    /// Parses `argv` (without the program name). A `--key` followed by
+    /// a token that does not start with `--` takes it as its value;
+    /// otherwise it is a boolean switch. Only `--set` may repeat.
+    pub fn from_argv(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut argv = argv.into_iter().peekable();
+        let mut args = Args {
+            name: argv.next_if(|a| !a.starts_with("--")),
+            opts: Vec::new(),
+        };
+        while let Some(arg) = argv.next() {
+            let Some(key) = arg.strip_prefix("--") else {
+                return Err(format!(
+                    "unexpected argument `{arg}` (the experiment name comes first)"
+                ));
+            };
+            if key != "set" && args.opts.iter().any(|(k, _)| k == key) {
+                return Err(format!("--{key} given more than once"));
+            }
+            let value = argv.next_if(|v| !v.starts_with("--"));
+            args.opts.push((key.to_string(), value));
+        }
+        Ok(args)
+    }
+
+    /// The experiment name, if one was given.
+    pub fn name(&self) -> Option<&str> {
+        self.name.as_deref()
+    }
+
+    /// Every `--key [value]` option, in command-line order.
+    pub fn opts(&self) -> impl Iterator<Item = (&str, Option<&str>)> {
+        self.opts.iter().map(|(k, v)| (k.as_str(), v.as_deref()))
+    }
+
+    /// True if `--name` was passed.
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.opts().any(|(k, _)| k == name)
     }
 
     /// String value of `--name`.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.map.get(name).map(String::as_str)
+        self.opts().find(|(k, _)| *k == name).and_then(|(_, v)| v)
     }
 
-    /// Parsed value of `--name`, or `default`. A value that does not
-    /// parse is a usage error (exit 2), not a panic.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T
+    /// Parsed value of `--name`, if given. A value that does not parse
+    /// is a usage error (exit 2), not a panic.
+    pub fn parsed<T: std::str::FromStr>(&self, name: &str) -> Option<T>
     where
-        T::Err: std::fmt::Debug,
+        T::Err: std::fmt::Display,
     {
-        match self.get(name) {
-            Some(v) => v
-                .parse()
-                .unwrap_or_else(|e| usage_error(&format!("--{name}: `{v}` did not parse: {e:?}"))),
-            None => default,
-        }
-    }
-
-    /// Parses `--name` as a comma-separated list of floats (e.g.
-    /// `--loads 0.1,0.3,0.5`), or returns `default`. A malformed entry
-    /// is a usage error (exit 2) naming the offending piece.
-    pub fn get_f64_list(&self, name: &str, default: &[f64]) -> Vec<f64> {
-        match self.get(name) {
-            None => default.to_vec(),
-            Some(raw) => raw
-                .split(',')
-                .map(|piece| {
-                    piece.trim().parse::<f64>().unwrap_or_else(|_| {
-                        usage_error(&format!(
-                            "--{name}: `{piece}` is not a number (expected e.g. 0.1,0.3,0.5)"
-                        ))
-                    })
-                })
-                .collect(),
-        }
+        let v = self.get(name)?;
+        let parsed = v.parse();
+        Some(parsed.unwrap_or_else(|e| usage_error(&format!("--{name}: `{v}` did not parse: {e}"))))
     }
 
     /// Builds an [`EvalConfig`] from the common flags.
@@ -124,38 +129,30 @@ impl Args {
             EvalConfig::quick()
         };
         EvalConfig {
-            nodes: self.get_or("nodes", base.nodes),
-            packets_per_node: self.get_or("packets", base.packets_per_node),
-            pingpong_rounds: self.get_or("rounds", base.pingpong_rounds),
-            seed: self.get_or("seed", base.seed),
-            threads: self.get_or("threads", base.threads),
+            nodes: self.parsed("nodes").unwrap_or(base.nodes),
+            packets_per_node: self.parsed("packets").unwrap_or(base.packets_per_node),
+            pingpong_rounds: self.parsed("rounds").unwrap_or(base.pingpong_rounds),
+            seed: self.parsed("seed").unwrap_or(base.seed),
+            threads: self.parsed("threads").unwrap_or(base.threads),
         }
     }
 
     /// Builds the supervision [`Policy`] from `--job-timeout` (seconds),
     /// `--timeout-retries`, and `--fail-budget`.
     pub fn policy(&self) -> Policy {
-        let job_timeout = self.get("job-timeout").map(|raw| {
-            let secs: f64 = raw.parse().unwrap_or_else(|_| {
-                usage_error(&format!(
-                    "--job-timeout: `{raw}` is not a number of seconds"
-                ))
-            });
+        let job_timeout = self.parsed::<f64>("job-timeout").map(|secs| {
             if !(secs > 0.0 && secs.is_finite()) {
                 usage_error(&format!(
-                    "--job-timeout: `{raw}` must be a positive deadline"
+                    "--job-timeout: `{secs}` must be a positive deadline"
                 ));
             }
             Duration::from_secs_f64(secs)
         });
+        let retries = self.parsed("timeout-retries");
         Policy {
             job_timeout,
-            timeout_retries: self.get_or("timeout-retries", Policy::default().timeout_retries),
-            fail_budget: self.get("fail-budget").map(|raw| {
-                raw.parse().unwrap_or_else(|_| {
-                    usage_error(&format!("--fail-budget: `{raw}` is not a failure count"))
-                })
-            }),
+            timeout_retries: retries.unwrap_or(Policy::default().timeout_retries),
+            fail_budget: self.parsed("fail-budget"),
         }
     }
 
@@ -174,74 +171,66 @@ impl Args {
             sw.with_cache_dir(self.get("cache-dir").unwrap_or(DEFAULT_CACHE_DIR))
         }
     }
-
-    /// Writes `value` as JSON to the `--json` path, if given.
-    ///
-    /// # Panics
-    ///
-    /// Panics if serialization or the write fails.
-    pub fn maybe_write_json<T: serde::Serialize>(&self, value: &T) {
-        if let Some(path) = self.get("json") {
-            let s = serde_json::to_string_pretty(value).expect("serialize results");
-            std::fs::write(path, s).unwrap_or_else(|e| panic!("write {path}: {e}"));
-            eprintln!("wrote {path}");
-        }
-    }
 }
 
-/// Prints a section header.
-pub fn header(title: &str) {
-    println!("\n=== {title} ===");
-}
-
-/// Prints the per-sweep wall-clock and cache-hit counters to stderr, so
+/// Prints the per-sweep wall-clock and cache-hit counters, then the
+/// per-job failure status table (if any job failed), to stderr — so
 /// result tables on stdout stay clean and diffable.
-pub fn print_sweep_summary(sw: &Sweep) {
+fn report(sw: &Sweep) {
     eprint!("\n{}", sw.summary());
-}
-
-/// The standard harness epilogue: sweep summary, then the per-job
-/// failure status table (if any job failed), then — exactly when a
-/// failure budget aborted a sweep — exit 1. Partial failures under an
-/// unlimited budget report but exit 0: every completed row was already
-/// rendered, and reruns replay them from the cache.
-pub fn finish(sw: &Sweep) {
-    print_sweep_summary(sw);
     if let Some(table) = sw.status_table() {
         eprint!("\n{table}");
     }
+}
+
+/// The standard harness epilogue: the sweep report, then — exactly when
+/// a failure budget aborted a sweep — exit 1. Partial failures under an
+/// unlimited budget report but exit 0: every completed row was already
+/// rendered, and reruns replay them from the cache.
+pub fn finish(sw: &Sweep) {
+    report(sw);
     if sw.aborted() {
         std::process::exit(1);
     }
 }
 
-/// Unwraps a library-side experiment result, or renders the failure
-/// (plus the sweep's status table, which names the job that sank it)
-/// and exits 1. For the aggregate experiments whose output is
-/// meaningless with a job missing — ablation pairs, reliability tables.
-pub fn or_die<T, E: std::fmt::Display>(sw: &Sweep, result: Result<T, E>) -> T {
-    match result {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            print_sweep_summary(sw);
-            if let Some(table) = sw.status_table() {
-                eprint!("\n{table}");
-            }
-            std::process::exit(1);
-        }
-    }
+/// Renders a failed experiment run — the error, then the sweep report,
+/// whose status table names the job that sank it — and exits 1.
+pub fn die(sw: &Sweep, err: &dyn std::fmt::Display) -> ! {
+    eprintln!("error: {err}");
+    report(sw);
+    std::process::exit(1);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn argv(line: &str) -> Result<Args, String> {
+        Args::from_argv(line.split_whitespace().map(String::from))
+    }
+
     #[test]
     fn default_policy_flags_are_permissive() {
-        let args = Args::default();
-        let p = args.policy();
-        assert_eq!(p, Policy::default());
-        assert_eq!(args.get_f64_list("loads", &[0.1, 0.9]), vec![0.1, 0.9]);
+        assert_eq!(Args::default().policy(), Policy::default());
+    }
+
+    #[test]
+    fn name_comes_first_then_valued_and_boolean_options() {
+        let args = argv("fig6 --nodes 64 --no-cache --loads 0.1,0.5").unwrap();
+        let got = (args.name(), args.get("nodes"), args.get("loads"));
+        assert_eq!(got, (Some("fig6"), Some("64"), Some("0.1,0.5")));
+        assert!(args.flag("no-cache") && args.get("no-cache").is_none());
+        assert_eq!(argv("--list").unwrap().name(), None);
+        let err = argv("--nodes 64 fig6").unwrap_err();
+        assert!(err.contains("unexpected argument `fig6`"), "{err}");
+    }
+
+    #[test]
+    fn only_set_may_repeat() {
+        assert!(argv("reliability --set samples=1000 --nodes 8 --set seed=3").is_ok());
+        let err = argv("fig6 --nodes 64 --nodes 128").unwrap_err();
+        assert!(err.contains("--nodes given more than once"), "{err}");
+        assert!(argv("faults --smoke --smoke").is_err());
     }
 }

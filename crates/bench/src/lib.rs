@@ -1,45 +1,24 @@
-//! The figure/table harness: one registry-driven runner behind every
-//! binary in `src/bin/`.
+//! The figure/table harness: one registry-driven dispatcher behind the
+//! single `baldur` binary (`src/bin/baldur.rs`).
 //!
-//! Each binary regenerates one table or figure of the paper by calling
-//! [`registry_main`] with its experiment's registry name; `all_figures`
-//! calls [`all_figures_main`]. Experiment-specific knobs are declared as
-//! axes/flags/modes on the spec in `baldur::registry` and surface
-//! automatically as `--<axis> VALUES`, `--<flag>`, `--set axis=VALUES`,
-//! `--list`, and `--describe`. Common flags:
+//! `baldur <name> [flags]` regenerates one table or figure of the paper
+//! from its experiment's registry entry; `baldur all [--out DIR]` runs
+//! every registered experiment into a results directory (default
+//! `results`); `baldur --list` lists the registry and `baldur <name>
+//! --describe` prints one spec's JSON descriptor. Experiment-specific
+//! knobs are declared as axes/flags/modes on the spec in
+//! `baldur::registry` and surface automatically as `--<axis> VALUES`,
+//! `--<flag>`, and `--set axis=VALUES` (repeatable, applied in order).
+//! The common flags (`--nodes`, `--packets`, `--seed`, `--threads`,
+//! `--no-cache`, `--resume`, the supervision knobs, ...) are listed in
+//! the usage text, which `baldur` prints when run without arguments.
 //!
-//! * `--nodes N` — active server nodes (default: quick-config 256),
-//! * `--packets N` — packets per node for open-loop runs,
-//! * `--rounds N` — ping-pong rounds,
-//! * `--seed N` — master seed,
-//! * `--threads N` — worker threads (default: `BALDUR_THREADS`, then
-//!   all cores),
-//! * `--csv PATH` / `--json PATH` — also write the structured results,
-//! * `--cache-dir DIR` — run-cache directory (default `results/cache`),
-//! * `--no-cache` — recompute every run, bypassing the cache,
-//! * `--resume` — replay jobs the completion journal confirms finished
-//!   (crash recovery after a killed run),
-//! * `--job-timeout SECS` — watchdog deadline per job attempt (default
-//!   off); timed-out jobs are retried with jittered backoff, then
-//!   quarantined,
-//! * `--timeout-retries N` — extra attempts granted to a timed-out job
-//!   (default 2),
-//! * `--fail-budget N` — tolerated job failures per sweep before the
-//!   remaining jobs are cancelled and the binary exits nonzero
-//!   (default: unlimited),
-//! * `--paper` — use the paper's full scale (1,024 nodes × 10,000
-//!   packets; slow).
-//!
-//! Malformed flags and bad axis overrides produce a usage message on
-//! stderr and exit code 2; job failures produce a per-job status table
-//! on stderr and exit code 1 *only* when a failure budget was exhausted
-//! (otherwise the partial tables render and the binary exits 0, matching
-//! the sweep's drop-failed-rows semantics).
+//! A bad invocation (unknown experiment or flag, repeated single-valued
+//! flag, bad axis override) exits 2 with the usage text; a sweep whose
+//! failure budget ran out exits 1 after its per-job status table.
 
-pub mod cli;
+mod cli;
 pub mod perf;
-pub mod runner;
+mod runner;
 
-pub use baldur::registry::fmt_ns;
-pub use cli::{finish, header, or_die, print_sweep_summary, usage, usage_error, Args};
-pub use runner::{all_figures_main, registry_main};
+pub use runner::main;

@@ -1,7 +1,7 @@
 //! CSV renderings of experiment results, for plotting (gnuplot, pandas).
 //!
-//! Every harness binary accepts `--csv PATH` and writes the corresponding
-//! table here. Columns are stable and documented per function.
+//! Every `baldur <experiment>` run accepts `--csv PATH` and writes its
+//! table from here. Columns are stable and documented per function.
 
 use std::fmt::Write as _;
 

@@ -6,8 +6,8 @@
 //! failure budget becomes a structured [`JobError`] slot in the sweep's
 //! submission-ordered results; library code that needs *all* results
 //! returns a [`BaldurError`] instead of calling `expect`/`panic!`, so the
-//! bench binaries can render one consistent failure report and choose
-//! their own exit code.
+//! `baldur` binary can render one consistent failure report and choose
+//! its own exit code.
 
 use std::fmt;
 

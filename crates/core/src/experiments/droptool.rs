@@ -43,7 +43,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     run: run_hook,
 };
 
-// `all_figures` has always stopped at 8K nodes to bound runtime.
+// `baldur all` has always stopped at 8K nodes to bound runtime.
 fn all_figures_overrides(_cfg: &EvalConfig) -> Vec<(&'static str, String)> {
     vec![("scales", "256,1024,8192".to_string())]
 }

@@ -34,7 +34,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     run: run_hook,
 };
 
-// `all_figures` has always dropped a viewable waveform file alongside
+// `baldur all` has always dropped a viewable waveform file alongside
 // the JSON artifacts.
 fn all_figures_overrides(_cfg: &super::EvalConfig) -> Vec<(&'static str, String)> {
     vec![("vcd", "fig5.vcd".to_string())]

@@ -5,9 +5,9 @@
 //! experiment functions (re-exported here, so `experiments::figure6`
 //! and friends keep their historical paths) and registers one
 //! [`crate::registry::ExperimentSpec`] with the experiment registry —
-//! the bench binaries, the `all_figures` driver, the docs table, and
-//! the completeness test all enumerate [`crate::registry::all`] instead
-//! of naming modules.
+//! the `baldur` dispatcher (one experiment or `all`), the docs table,
+//! and the completeness tests all enumerate [`crate::registry::all`]
+//! instead of naming modules.
 //!
 //! The default parameters are sized to run in seconds-to-minutes — pass
 //! larger [`EvalConfig`] values to approach the paper's full 1,024-node

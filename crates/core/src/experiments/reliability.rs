@@ -47,7 +47,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     run: run_hook,
 };
 
-// `all_figures` has always run fewer samples, seeded from the master
+// `baldur all` has always run fewer samples, seeded from the master
 // seed rather than the standalone default of 7.
 fn all_figures_overrides(cfg: &EvalConfig) -> Vec<(&'static str, String)> {
     vec![

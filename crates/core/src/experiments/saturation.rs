@@ -56,8 +56,8 @@ plot for [net in "baldur electrical_mb dragonfly fattree ideal"] \
   '< grep "^'.net.'," saturation.csv' using 2:3 with linespoints title net, x with lines dt 2 title 'ideal slope'
 "#;
 
-// `all_figures` has always run this sweep on the Figure 6 load grid
-// rather than the standalone binary's denser ten-point grid.
+// `baldur all` has always run this sweep on the Figure 6 load grid
+// rather than the denser ten-point grid of `baldur saturation`.
 fn all_figures_overrides(_cfg: &EvalConfig) -> Vec<(&'static str, String)> {
     vec![("loads", "0.1,0.3,0.5,0.7,0.9".to_string())]
 }

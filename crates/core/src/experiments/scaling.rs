@@ -86,7 +86,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     run: run_sweep,
 };
 
-/// `all_figures` caps the curve at 4K endpoints so the full-figure run
+/// `baldur all` caps the curve at 4K endpoints so the full-figure run
 /// stays in the minutes regime.
 fn af_overrides(_cfg: &EvalConfig) -> Vec<(&'static str, String)> {
     vec![("endpoints", "1024,4096".to_string())]

@@ -8,9 +8,9 @@
 //! registers a spec describing *what* it is (name, paper artifact,
 //! parameter axes with defaults, cache version, output columns) and
 //! *how* to run it (a typed `run(&Sweep, &Params)` hook returning an
-//! [`Output`]); the single generic runner in `baldur-bench` owns
-//! everything else. Adding experiment #18 is one spec registration, not
-//! a new binary.
+//! [`Output`]); the one dispatcher in `baldur-bench` owns everything
+//! else, so `baldur <name>` runs any registered spec. Adding an
+//! experiment is one spec registration, not a new binary.
 //!
 //! Cache-key hygiene lives here too: a spec's `version` is hashed into
 //! every job key its sweeps write (via [`Sweep::map_versioned`]), so
@@ -132,8 +132,8 @@ pub struct Mode {
 
 /// Everything the generic runner needs to know about one experiment.
 pub struct ExperimentSpec {
-    /// Registry name; also the bench binary name and the stem of the
-    /// files `all_figures` writes (`<name>.json` / `<name>.csv`).
+    /// Registry name; also the `baldur <name>` argument and the stem of
+    /// the files `baldur all` writes (`<name>.json` / `<name>.csv`).
     pub name: &'static str,
     /// Which paper artifact this reproduces ("Figure 6", "Table V", ...).
     pub artifact: &'static str,
@@ -145,7 +145,7 @@ pub struct ExperimentSpec {
     pub version: u32,
     /// The sweep labels this spec runs (cache-key namespaces).
     pub labels: &'static [&'static str],
-    /// Overridable parameter axes (defaults are the standalone-binary
+    /// Overridable parameter axes (defaults are the `baldur <name>`
     /// defaults).
     pub axes: &'static [Axis],
     /// Boolean switches.
@@ -157,21 +157,21 @@ pub struct ExperimentSpec {
     /// Golden snapshot file under `results/golden/`, when this
     /// experiment is snapshot-gated (`None` = explicitly exempt).
     pub golden: Option<&'static str>,
-    /// Where the standalone binary writes CSV when `--csv` is absent
+    /// Where `baldur <name>` writes CSV when `--csv` is absent
     /// (only the fault sweep does this, historically).
     pub csv_default: Option<&'static str>,
-    /// Where the standalone binary writes JSON when `--json` is absent.
+    /// Where `baldur <name>` writes JSON when `--json` is absent.
     pub json_default: Option<&'static str>,
-    /// A gnuplot script `all_figures` drops next to the CSV.
+    /// A gnuplot script `baldur all` drops next to the CSV.
     pub gnuplot: Option<(&'static str, &'static str)>,
-    /// Axis overrides `all_figures` applies on top of the defaults
+    /// Axis overrides `baldur all` applies on top of the defaults
     /// (e.g. the saturation sweep runs fewer loads there).
     pub all_figures: fn(&EvalConfig) -> Vec<(&'static str, String)>,
     /// The default entry point.
     pub run: RunHook,
 }
 
-/// The shared "no overrides in `all_figures`" hook.
+/// The shared "no overrides in `baldur all`" hook.
 pub fn no_overrides(_cfg: &EvalConfig) -> Vec<(&'static str, String)> {
     Vec::new()
 }
@@ -322,7 +322,7 @@ fn split_parse<T: std::str::FromStr>(raw: &str) -> Result<Vec<T>, String> {
 
 /// What one run produced. The runner decides where each part goes: the
 /// console text to stdout, CSV/JSON to `--csv`/`--json` (or the spec's
-/// default paths, or `<out>/<name>.{csv,json}` under `all_figures`),
+/// default paths, or `<out>/<name>.{csv,json}` under `baldur all`),
 /// and extra files (the Figure 5 VCD) to their named paths.
 pub struct Output {
     /// Human-readable tables, ready to print.
@@ -444,11 +444,11 @@ pub fn describe(spec: &ExperimentSpec) -> Descriptor {
     }
 }
 
-/// Every registered experiment, in `all_figures` execution order.
+/// Every registered experiment, in `baldur all` execution order.
 ///
 /// This table is the single registration point: a spec absent here is
-/// unreachable from the bench binaries, `all_figures`, the docs table,
-/// and the completeness test — which is exactly what the test checks.
+/// unreachable from the `baldur` dispatcher, `baldur all`, the docs
+/// table, and the completeness tests.
 pub fn all() -> &'static [&'static ExperimentSpec] {
     static ALL: [&ExperimentSpec; 21] = [
         &experiments::table5::SPEC,

@@ -39,7 +39,7 @@
 //! a budget aborts — reflected in [`Sweep::aborted`]).
 //!
 //! The cache lives under `results/cache/` by default (one `<hex>.json`
-//! per job) and is enabled by the bench binaries, not by unit tests: the
+//! per job) and is enabled by the `baldur` binary, not by unit tests: the
 //! experiment wrappers in [`crate::experiments`] default to an uncached
 //! [`Sweep`] so `cargo test` never touches the filesystem.
 
@@ -500,7 +500,7 @@ impl Sweep {
     }
 
     /// True once any sweep on this runner exhausted its failure budget
-    /// (bench binaries exit nonzero exactly in this case).
+    /// (the `baldur` binary exits nonzero exactly in this case).
     pub fn aborted(&self) -> bool {
         self.aborted.load(Ordering::Relaxed)
     }

@@ -144,12 +144,11 @@ pub enum Rule {
     /// of the chance to report; only binaries (and the documented bench
     /// helpers on the allowlist) get to choose the process exit code.
     ProcessExit,
-    /// Ad-hoc harness code in a bench binary: `env::args`, `Args::parse`,
-    /// or direct `Sweep` construction in `crates/bench/src/bin/*`. Every
-    /// binary must stay a thin wrapper over the experiment registry
-    /// (`registry_main` / `all_figures_main`) so flags, caching, and
-    /// supervision behave identically everywhere; a bin that parses its
-    /// own arguments or builds its own sweep forks that contract. No
+    /// Ad-hoc harness code in the bench binary: `env::args`,
+    /// `Args::parse`, or direct `Sweep` construction under
+    /// `crates/bench/src/bin/`. `baldur.rs` must stay a thin wrapper over
+    /// the registry dispatcher (`baldur_bench::main`) so flags, caching,
+    /// and supervision behave identically for every experiment. No
     /// allowlist escape: move the logic into a spec or the shared runner.
     AdHocBin,
     /// `as u32`/`as usize`-style narrowing casts of time-, event-count-,
@@ -287,8 +286,8 @@ impl Rule {
                  binary choose the exit code"
             }
             Rule::AdHocBin => {
-                "no env::args/Args::parse/Sweep construction in bench binaries; \
-                 route through registry_main so every bin shares one CLI contract"
+                "no env::args/Args::parse/Sweep construction in the baldur binary; \
+                 route through baldur_bench::main so every experiment shares one CLI contract"
             }
             Rule::NarrowingCast => {
                 "no as u32/usize/i32 on time/count/index expressions in the event \
@@ -871,14 +870,14 @@ mod tests {
     #[test]
     fn panic_budget_skips_bins() {
         let src = "fn main() { run().unwrap(); }\n";
-        assert!(lint_source("crates/bench/src/bin/fig6.rs", src).is_empty());
+        assert!(lint_source("crates/bench/src/bin/baldur.rs", src).is_empty());
         assert_eq!(lint_source("crates/bench/src/lib.rs", src).len(), 1);
     }
 
     #[test]
     fn float_cmp_panic_fires_even_in_bins() {
         let src = "fn main() { xs.sort_by(|a, b| a.partial_cmp(b).unwrap()); }\n";
-        let fs = lint_source("crates/bench/src/bin/fig6.rs", src);
+        let fs = lint_source("crates/bench/src/bin/baldur.rs", src);
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].rule, "float-cmp-panic");
     }
@@ -887,16 +886,16 @@ mod tests {
     fn ad_hoc_bin_rule_bans_harness_code_in_bins() {
         let src = "fn main() {\n    let a: Vec<String> = std::env::args().collect();\n    \
                    let args = Args::parse();\n    let sw = Sweep::new(0);\n}\n";
-        let fs = lint_source("crates/bench/src/bin/fig6.rs", src);
+        let fs = lint_source("crates/bench/src/bin/baldur.rs", src);
         assert_eq!(fs.len(), 3, "{fs:?}");
         assert!(fs.iter().all(|f| f.rule == "ad-hoc-bin"), "{fs:?}");
         // The shared cli/runner modules are the sanctioned home.
         assert!(lint_source("crates/bench/src/cli.rs", src)
             .iter()
             .all(|f| f.rule != "ad-hoc-bin"));
-        // A conforming wrapper is clean.
-        let ok = "fn main() {\n    baldur_bench::registry_main(\"fig6\")\n}\n";
-        assert!(lint_source("crates/bench/src/bin/fig6.rs", ok).is_empty());
+        // The conforming entry point is clean.
+        let ok = "fn main() {\n    baldur_bench::main()\n}\n";
+        assert!(lint_source("crates/bench/src/bin/baldur.rs", ok).is_empty());
     }
 
     #[test]
@@ -934,7 +933,7 @@ mod tests {
         assert_eq!(fs.len(), 1, "{fs:?}");
         assert_eq!(fs[0].rule, "process-exit");
         // Binaries, benches, and main.rs choose their own exit codes.
-        assert!(lint_source("crates/bench/src/bin/faults.rs", src).is_empty());
+        assert!(lint_source("crates/bench/src/bin/baldur.rs", src).is_empty());
         assert!(lint_source("crates/bench/benches/figures.rs", src).is_empty());
         assert!(lint_source("crates/lint/src/main.rs", src).is_empty());
     }
@@ -1021,7 +1020,7 @@ mod tests {
                 "no allowlist escape",
             ),
             (
-                "ad-hoc-bin crates/bench/src/bin/x.rs 1\n",
+                "ad-hoc-bin crates/bench/src/bin/baldur.rs 1\n",
                 "no allowlist escape",
             ),
             ("panic-site crates/sim/src/x.rs 0\n", "zero budget"),

@@ -92,7 +92,7 @@ pub struct FileCtx<'a> {
     pub job_path: bool,
     /// `process::exit` is banned (library code that is not a `main.rs`).
     pub exit_scope: bool,
-    /// A bench binary: must stay a thin registry wrapper.
+    /// The bench binary: must stay a thin wrapper over the dispatcher.
     pub bin_harness: bool,
     /// Event-kernel crate: narrowing-cast rule applies.
     pub kernel: bool,
@@ -731,8 +731,8 @@ fn harness_pass(p: &mut Pass<'_, '_>) {
                     Rule::AdHocBin,
                     i,
                     format!(
-                        "`{pat}` in a bench binary; bins are thin wrappers — declare \
-                         the knob on the experiment spec and call registry_main"
+                        "`{pat}` in the bench binary; it is a thin wrapper — declare \
+                         the knob on the experiment spec and dispatch through baldur_bench::main"
                     ),
                 );
             }

@@ -2,10 +2,10 @@
 //! determinism under failures) and the degradation-curve shape.
 //!
 //! Runs on a small topology so the whole file finishes in seconds; the
-//! same checks at sweep scale live in `baldur-bench --bin faults
-//! --smoke`. In debug builds every drained run here additionally passes
-//! the models' drain audits as assertions (no packet leaked: each one
-//! delivered, dropped, or GaveUp).
+//! same checks at sweep scale live in `baldur faults --smoke`. In debug
+//! builds every drained run here additionally passes the models' drain
+//! audits as assertions (no packet leaked: each one delivered, dropped,
+//! or GaveUp).
 
 use baldur::prelude::*;
 

@@ -122,7 +122,7 @@ fn bench_8_json_is_valid_and_counters_reproduce() {
     let path = repo_path("BENCH_8.json");
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
         panic!(
-            "read {}: {e}\nregenerate it with `cargo run --release --bin perf`",
+            "read {}: {e}\nregenerate it with `cargo run --release -p baldur-bench --bin baldur -- perf`",
             path.display()
         )
     });
@@ -142,7 +142,7 @@ fn bench_8_json_is_valid_and_counters_reproduce() {
         assert_eq!(
             committed.counters, live.counters,
             "bench `{}`: committed counters no longer reproduce — \
-             regenerate BENCH_8.json with `cargo run --release --bin perf`",
+             regenerate BENCH_8.json with `cargo run --release -p baldur-bench --bin baldur -- perf`",
             committed.name
         );
     }

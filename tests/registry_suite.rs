@@ -1,8 +1,9 @@
 //! Registry completeness suite: the experiment registry is the single
 //! source of truth for what this repo can reproduce, so every spec must
-//! be (a) reachable from a bench binary and `all_figures`, (b) backed by
-//! a golden snapshot or explicitly exempt, and (c) fully describable —
-//! its `--describe` document round-trips through the vendored serde.
+//! be (a) runnable under `baldur all` (name resolution is tested in
+//! `crates/bench`), (b) backed by a golden snapshot or explicitly
+//! exempt, and (c) fully describable — its `--describe` document
+//! round-trips through the vendored serde.
 //!
 //! `ci.sh` runs this suite by name in the `registry-completeness` step.
 
@@ -45,43 +46,8 @@ fn repo_path(rel: &str) -> std::path::PathBuf {
 }
 
 #[test]
-fn every_spec_has_a_bin_wrapper_and_vice_versa() {
-    let bin_dir = repo_path("crates/bench/src/bin");
-    let mut wrapped: BTreeSet<String> = BTreeSet::new();
-    let mut saw_all_figures = false;
-    for entry in std::fs::read_dir(&bin_dir).expect("read bench bin dir") {
-        let path = entry.expect("walk bench bin dir").path();
-        let source = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-        if source.contains("all_figures_main()") {
-            saw_all_figures = true;
-            continue;
-        }
-        let Some(start) = source.find("registry_main(\"") else {
-            panic!(
-                "{} neither calls registry_main nor all_figures_main",
-                path.display()
-            );
-        };
-        let rest = &source[start + "registry_main(\"".len()..];
-        let name = &rest[..rest.find('"').expect("closing quote")];
-        assert!(
-            wrapped.insert(name.to_string()),
-            "two bench binaries wrap experiment `{name}`"
-        );
-    }
-    assert!(saw_all_figures, "no all_figures binary found");
-
-    let registered: BTreeSet<String> = registry::all().iter().map(|s| s.name.to_string()).collect();
-    assert_eq!(
-        wrapped, registered,
-        "bench binaries and registry disagree (left: wrapped, right: registered)"
-    );
-}
-
-#[test]
 fn every_spec_runs_in_all_figures_with_valid_overrides() {
-    // `all_figures` iterates `registry::all()` and applies each spec's
+    // `baldur all` iterates `registry::all()` and applies each spec's
     // declared overrides; a typo'd axis name in an override would only
     // surface at runtime, so validate them all eagerly here.
     let cfg = EvalConfig::tiny();

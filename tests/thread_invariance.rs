@@ -23,7 +23,7 @@ fn quietly<R>(f: impl FnOnce() -> R) -> R {
 
 /// The tiny Figure 6 sweep, rendered to CSV and JSON, at `threads` —
 /// resolved through the experiment registry by name, so this gate covers
-/// the exact code path the bench binaries run.
+/// the exact code path the `baldur` binary runs.
 fn fig6_bytes(threads: usize) -> (String, String) {
     let spec = registry::get("fig6").expect("fig6 is registered");
     let cfg = EvalConfig {
