@@ -196,21 +196,22 @@ pub fn overload(rows: &[OverloadRow]) -> String {
     out
 }
 
-/// `endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,calendar`.
+/// `endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,topo_bytes,bytes_per_endpoint,delivered,generated,peak_pending,calendar`.
 pub fn scaling(rows: &[ScalingRow]) -> String {
     let mut out = String::from(
-        "endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,bytes_per_endpoint,delivered,generated,peak_pending,calendar\n",
+        "endpoints,wall_ms,events,events_per_sec,peak_rss_bytes,state_bytes,topo_bytes,bytes_per_endpoint,delivered,generated,peak_pending,calendar\n",
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{},{}",
             r.endpoints,
             r.wall_ns as f64 / 1e6,
             r.events,
             r.events_per_sec(),
             r.peak_rss_bytes,
             r.state_bytes,
+            r.topo_bytes,
             r.bytes_per_endpoint(),
             r.delivered,
             r.generated,

@@ -11,10 +11,12 @@
 //! * peak process RSS (the `VmHWM` probe, same caveat),
 //! * model state bytes and bytes/endpoint (exact, machine-independent:
 //!   flat-table and queue capacities plus arena slabs),
+//! * topology wiring bytes (exact: one packed `u32` per inner-stage
+//!   output port, counted apart from the model state),
 //! * arena high-water marks and the scheduler's backend choice.
 //!
 //! The simulation outcome columns (`events`, `delivered`, `generated`,
-//! `state_bytes`) are bit-deterministic for a fixed seed at any thread
+//! `state_bytes`, `topo_bytes`) are bit-deterministic for a fixed seed at any thread
 //! count; the timing/RSS columns are measurements and replay verbatim
 //! on sweep-cache hits (pass `--no-cache` for fresh numbers). There is
 //! deliberately no golden snapshot. The default sweep tops out at the
@@ -37,12 +39,12 @@ use crate::registry::{
 use crate::sweep::Sweep;
 
 const LABEL: &str = "scaling";
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
     name: "scaling",
     artifact: "Sec. V scale",
-    summary: "kernel scaling curves (wall, events/s, RSS, state bytes) to 1M endpoints",
+    summary: "kernel scaling curves (wall, events/s, RSS, state and wiring bytes) to 1M endpoints",
     version: VERSION,
     labels: &[LABEL],
     axes: &[
@@ -72,6 +74,7 @@ pub(crate) static SPEC: ExperimentSpec = ExperimentSpec {
         "events_per_sec",
         "peak_rss_bytes",
         "state_bytes",
+        "topo_bytes",
         "bytes_per_endpoint",
         "delivered",
         "generated",
@@ -113,6 +116,8 @@ pub struct ScalingRow {
     pub peak_rss_bytes: u64,
     /// Model state bytes (flat tables + queues + arena slabs).
     pub state_bytes: u64,
+    /// Topology wiring bytes (the packed link table).
+    pub topo_bytes: u64,
     /// Packet-arena high-water mark (live packets).
     pub arena_high_water: u64,
     /// Delivered packets.
@@ -177,6 +182,7 @@ fn measure(endpoints: u32, ppn: u32, seed: u64) -> ScalingRow {
         calendar_backed: stats.calendar_backed,
         peak_rss_bytes: peak_rss_bytes(),
         state_bytes: stats.state_bytes,
+        topo_bytes: stats.topo_bytes,
         arena_high_water: stats
             .ack_batches
             .high_water
@@ -189,26 +195,28 @@ fn measure(endpoints: u32, ppn: u32, seed: u64) -> ScalingRow {
 fn print_rows(out: &mut String, rows: &[ScalingRow]) {
     outln!(
         out,
-        "{:>9} | {:>9} | {:>11} | {:>11} | {:>9} | {:>11} | {:>8} | {:>8}",
+        "{:>9} | {:>9} | {:>11} | {:>11} | {:>9} | {:>11} | {:>11} | {:>8} | {:>8}",
         "endpoints",
         "wall",
         "events",
         "events/s",
         "peak RSS",
         "state",
+        "topo",
         "B/endpt",
         "sched"
     );
     for r in rows {
         outln!(
             out,
-            "{:>9} | {:>8.1}ms | {:>11} | {:>11.0} | {:>9} | {:>11} | {:>8.1} | {:>8}",
+            "{:>9} | {:>8.1}ms | {:>11} | {:>11.0} | {:>9} | {:>11} | {:>11} | {:>8.1} | {:>8}",
             r.endpoints,
             r.wall_ns as f64 / 1e6,
             r.events,
             r.events_per_sec(),
             fmt_bytes(r.peak_rss_bytes),
             fmt_bytes(r.state_bytes),
+            fmt_bytes(r.topo_bytes),
             r.bytes_per_endpoint(),
             if r.calendar_backed {
                 "calendar"
@@ -247,12 +255,12 @@ fn run_sweep(sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
 fn deterministic_csv(rows: &[ScalingRow]) -> String {
     use std::fmt::Write as _;
     let mut out = String::from(
-        "endpoints,ppn,events,events_scheduled,peak_pending,calendar,state_bytes,arena_high_water,delivered,generated\n",
+        "endpoints,ppn,events,events_scheduled,peak_pending,calendar,state_bytes,topo_bytes,arena_high_water,delivered,generated\n",
     );
     for r in rows {
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{},{}",
             r.endpoints,
             r.ppn,
             r.events,
@@ -260,6 +268,7 @@ fn deterministic_csv(rows: &[ScalingRow]) -> String {
             r.peak_pending,
             r.calendar_backed,
             r.state_bytes,
+            r.topo_bytes,
             r.arena_high_water,
             r.delivered,
             r.generated
@@ -268,10 +277,21 @@ fn deterministic_csv(rows: &[ScalingRow]) -> String {
     out
 }
 
+/// The wiring bytes of a flat packed table at `endpoints` (a power of
+/// two): `(stages - 1) * switches * 2m * 4`. Any per-switch allocation
+/// or wider entry shows up as a mismatch.
+fn packed_wiring_bytes(endpoints: u32) -> u64 {
+    let m = u64::from(BaldurParams::paper_for(u64::from(endpoints)).multiplicity);
+    let stages = u64::from(endpoints.trailing_zeros());
+    let switches = u64::from(endpoints / 2);
+    (stages - 1) * switches * 2 * m * 4
+}
+
 /// CI gate: the 1K->4K head of the curve, run uncached three times —
 /// twice single-threaded (byte-identical repeat) and once on an
 /// 8-worker sweep (thread invariance) — comparing the deterministic
-/// projection byte-for-byte and asserting packet conservation.
+/// projection byte-for-byte, asserting packet conservation, and
+/// requiring the wiring to be exactly one packed table.
 fn run_smoke(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     let cfg = p.cfg;
     let endpoints = [1_024u32, 4_096];
@@ -307,6 +327,14 @@ fn run_smoke(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
         if r.state_bytes == 0 {
             violations.push(format!("{} endpoints: zero state bytes", r.endpoints));
         }
+        let packed = packed_wiring_bytes(r.endpoints);
+        if r.topo_bytes != packed {
+            violations.push(format!(
+                "{} endpoints: wiring holds {} bytes, want exactly {packed} \
+                 (one packed u32 per inner-stage output port)",
+                r.endpoints, r.topo_bytes
+            ));
+        }
     }
     print_rows(&mut out, &first);
     if !violations.is_empty() {
@@ -317,7 +345,7 @@ fn run_smoke(_sw: &Sweep, p: &Params) -> Result<Output, BaldurError> {
     }
     outln!(
         out,
-        "scaling smoke OK: determinism, thread invariance, conservation hold"
+        "scaling smoke OK: determinism, thread invariance, conservation, packed wiring hold"
     );
     Ok(Output::console_only(out))
 }
@@ -338,6 +366,7 @@ mod tests {
             assert!(r.state_bytes > 0);
             assert!(r.events_scheduled >= r.events);
             assert!(r.bytes_per_endpoint() > 0.0);
+            assert_eq!(r.topo_bytes, packed_wiring_bytes(r.endpoints));
         }
         assert!(a[1].state_bytes > a[0].state_bytes);
     }

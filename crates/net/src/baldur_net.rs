@@ -19,7 +19,10 @@
 //! Hot state is struct-of-arrays keyed by dense ids: one flat `Vec` per
 //! NIC field indexed by node id, a single flat port table indexed by
 //! `(stage, switch, dir, path)`, and intrusive queue links (a per-packet
-//! `next` pointer) instead of per-node `VecDeque`s. Combined-ACK batches
+//! `next` pointer) instead of per-node `VecDeque`s. The port table and
+//! the topology's wiring share one index, [`PortLayout::index`]: the hop
+//! handler claims an output port by its index and reads the next switch
+//! from the packed wiring at that same index (one load). Combined-ACK batches
 //! live in generational [`Arena`]s; the retired map-based model is kept
 //! as `baldur_net_baseline` and differential-tested for byte-identical
 //! reports. Invariants the layout relies on: packet ids are sequential
@@ -29,6 +32,7 @@
 use baldur_sim::rng::StreamRng;
 use baldur_sim::{Arena, ArenaStats, Duration, Handle, Model, Scheduler, Time};
 use baldur_topo::graph::NodeId;
+use baldur_topo::links::PortLayout;
 use baldur_topo::staged::Staged;
 
 use crate::config::{BaldurParams, LinkParams};
@@ -111,8 +115,11 @@ pub enum Ev {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StateStats {
     /// Bytes of model state reserved: flat table and queue capacities
-    /// plus arena slabs (the scale-dominant terms).
+    /// plus arena slabs (the scale-dominant terms). Excludes the wiring.
     pub state_bytes: u64,
+    /// Bytes of topology wiring reserved ([`Staged::state_bytes`]): one
+    /// packed `u32` per inner-stage output port.
+    pub topo_bytes: u64,
     /// Combined-ACK batch arena counters.
     pub ack_batches: ArenaStats,
     /// Pending (coalescing-window) ACK batch arena counters.
@@ -132,11 +139,11 @@ pub struct BaldurNet {
     link: LinkParams,
     driver: Driver,
     active_nodes: u32,
-    /// `ports[stage * port_stride + switch * 2m + dir * m + path]` →
-    /// busy-until (one flat table across all stages).
+    /// Busy-until per switch output port, one flat table across all
+    /// stages indexed by `layout` (the wiring's own index).
     ports: Vec<Time>,
-    /// Ports per stage (`switches_per_stage * 2m`).
-    port_stride: usize,
+    /// The topology's port numbering.
+    layout: PortLayout,
     // ---- NIC state, struct-of-arrays indexed by node id ----
     tx_busy_until: Vec<Time>,
     try_scheduled: Vec<bool>,
@@ -200,9 +207,8 @@ impl BaldurNet {
     ) -> Self {
         let topo_nodes = active_nodes.next_power_of_two().max(4);
         let topo = Staged::build(params.staged_kind(), topo_nodes, params.multiplicity, seed);
-        let m = params.multiplicity as usize;
-        let port_stride = topo.switches_per_stage() as usize * 2 * m;
-        let ports = vec![Time::ZERO; topo.stages() as usize * port_stride];
+        let layout = topo.links().layout();
+        let ports = vec![Time::ZERO; topo.stages() as usize * layout.stride()];
         let n = active_nodes as usize;
         let fstate = FaultState::healthy(
             topo.stages(),
@@ -217,7 +223,7 @@ impl BaldurNet {
             driver,
             active_nodes,
             ports,
-            port_stride,
+            layout,
             tx_busy_until: vec![Time::ZERO; n],
             try_scheduled: vec![false; n],
             outstanding: vec![0; n],
@@ -270,11 +276,6 @@ impl BaldurNet {
         } else {
             self.link.packet_time()
         }
-    }
-
-    fn port_index(&self, stage: u32, switch: u32, dir: u32, path: u32) -> usize {
-        let m = self.params.multiplicity;
-        stage as usize * self.port_stride + (switch * 2 * m + dir * m + path) as usize
     }
 
     /// Allocates a packet-table row (and its queue link).
@@ -758,10 +759,10 @@ impl Model for BaldurNet {
                     if !healthy && self.fstate.link_is_down(stage, switch, dir, path) {
                         continue;
                     }
-                    let idx = self.port_index(stage, switch, dir, path);
+                    let idx = self.layout.index(stage, switch, dir, path);
                     if self.ports[idx] <= now {
                         self.ports[idx] = now + dur;
-                        claimed = Some(path);
+                        claimed = Some(idx);
                         break;
                     }
                 }
@@ -778,7 +779,7 @@ impl Model for BaldurNet {
                         self.drop_ack_batch(pkt);
                         // Dropped: the source's timeout handles recovery.
                     }
-                    Some(path) => {
+                    Some(port) => {
                         // During a bit-error burst the traversal can
                         // corrupt the packet (the port was still burned);
                         // the destination NIC's CRC discards it and the
@@ -812,24 +813,14 @@ impl Model for BaldurNet {
                                 + dur;
                             sched.schedule_at(at, Ev::Arrive { pkt });
                         } else {
-                            // Inner stages always have targets by
-                            // construction; a miss would indicate a wiring
-                            // bug, so in debug builds it trips, and in
-                            // release the packet is treated as dropped
-                            // (recovered by the source timeout) instead of
-                            // aborting the run.
-                            let Some(target) = self.topo.target(stage, switch, dir, path) else {
-                                debug_assert!(false, "inner stage {stage} has no target");
-                                self.dec_in_flight(now);
-                                self.drop_ack_batch(pkt);
-                                return;
-                            };
+                            // The claimed port's index is also its slot in
+                            // the wiring table.
                             sched.schedule_at(
                                 now + hop_delay,
                                 Ev::Hop {
                                     pkt,
                                     stage: stage + 1,
-                                    switch: target.switch,
+                                    switch: self.topo.links().next_switch(port),
                                 },
                             );
                         }
@@ -1094,6 +1085,7 @@ impl PacketModel for BaldurNet {
                 + self.pending.state_bytes()
                 + self.ack_batches.state_bytes()
                 + bytes_of(&self.batch_pool),
+            topo_bytes: self.topo.state_bytes(),
             ack_batches: self.ack_batches.stats(),
             pending_batches: self.pending.stats(),
             peak_pending_events: 0,
@@ -1749,6 +1741,10 @@ mod tests {
         let (r, stats) = simulate_scaling(64, BaldurParams::paper_for(64), link(), d, 9, None);
         assert_eq!(r.delivered, r.generated);
         assert!(stats.state_bytes > 0);
+        // 6 stages, 32 switches, m = 4: five inner stages of 32 * 8
+        // packed u32 targets.
+        assert_eq!(BaldurParams::paper_for(64).multiplicity, 4);
+        assert_eq!(stats.topo_bytes, 5 * 32 * 8 * 4);
         assert!(stats.events_scheduled >= r.events);
         assert!(stats.peak_pending_events > 0);
         assert!(!stats.calendar_backed, "64 nodes stays below promotion");

@@ -598,18 +598,7 @@ impl Model for BaldurNet {
                                 + dur;
                             sched.schedule_at(at, Ev::Arrive { pkt });
                         } else {
-                            // Inner stages always have targets by
-                            // construction; a miss would indicate a wiring
-                            // bug, so in debug builds it trips, and in
-                            // release the packet is treated as dropped
-                            // (recovered by the source timeout) instead of
-                            // aborting the run.
-                            let Some(target) = self.topo.target(stage, switch, dir, path) else {
-                                debug_assert!(false, "inner stage {stage} has no target");
-                                self.dec_in_flight(now);
-                                self.ack_refs.remove(&pkt);
-                                return;
-                            };
+                            let target = self.topo.target(stage, switch, dir, path);
                             sched.schedule_at(
                                 now + hop_delay,
                                 Ev::Hop {

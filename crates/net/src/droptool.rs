@@ -112,14 +112,7 @@ fn worst_case_impl(
             if stage + 1 == topo.stages() {
                 next.push((u32::MAX, dst)); // delivered marker
             } else {
-                // Inner stages always have targets by construction; a miss
-                // would be a wiring bug, so count the packet as dropped
-                // rather than aborting the whole analysis.
-                let Some(targets) = topo.next_targets(stage, switch, dir) else {
-                    debug_assert!(false, "inner stage {stage} has no targets");
-                    continue;
-                };
-                next.push((targets[path as usize].switch, dst));
+                next.push((topo.target(stage, switch, dir, path).switch, dst));
             }
         }
         live = next;

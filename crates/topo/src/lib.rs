@@ -12,7 +12,8 @@
 //! * [`omega`] — the Omega (perfect shuffle) network, for the paper's
 //!   multi-stage isomorphism claim,
 //! * [`ideal`] — the paper's infinite-bandwidth, flat-200 ns reference;
-//!   [`staged`] unifies the multi-stage variants behind one interface.
+//!   [`staged`] unifies the multi-stage variants behind one interface,
+//!   and [`links`] is the flat, packed wiring table they share.
 //!
 //! Electrical topologies also export a port-level [`graph::RouterGraph`]
 //! consumed by the buffered-router simulation in `baldur-net`.
@@ -21,6 +22,7 @@ pub mod dragonfly;
 pub mod fattree;
 pub mod graph;
 pub mod ideal;
+pub mod links;
 pub mod mask;
 pub mod multibutterfly;
 pub mod omega;

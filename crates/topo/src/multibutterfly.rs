@@ -14,20 +14,19 @@
 //! The same object describes both Baldur (bufferless optical switches) and
 //! the electrical multi-butterfly baseline (buffered routers) — they differ
 //! only in the switch model applied by `baldur-net`.
+//!
+//! The wiring is stored as one flat [`LinkTable`]: a packed `u32` per
+//! inner-stage output port, at [`PortLayout::index`] — no per-switch
+//! allocation, 4 bytes per link. The builder fills it in a fixed order
+//! (stage, sorting group, direction, round), drawing every shuffle from
+//! the `mbwire` stream of its (stage, group, direction), so a seed always
+//! yields the same wiring.
 
 use baldur_sim::rng::StreamRng;
 use serde::{Deserialize, Serialize};
 
 use crate::graph::NodeId;
-
-/// One inter-stage link target.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LinkTarget {
-    /// Switch index (within the whole next stage).
-    pub switch: u32,
-    /// Input port on that switch (0..2m).
-    pub port: u32,
-}
+use crate::links::{LinkTable, LinkTarget, PortLayout};
 
 /// How the inter-stage links are arranged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,9 +48,9 @@ pub struct MultiButterfly {
     stages: u32,
     multiplicity: u32,
     wiring: Wiring,
-    /// `links[stage][switch][dir][path] = LinkTarget` in stage+1
-    /// (absent for the final stage, whose outputs go to nodes).
-    links: Vec<Vec<[Vec<LinkTarget>; 2]>>,
+    /// Where every inner-stage output port leads, one flat packed table
+    /// (see [`crate::links`]); the final stage's outputs go to nodes.
+    links: LinkTable,
 }
 
 impl MultiButterfly {
@@ -60,7 +59,7 @@ impl MultiButterfly {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is not a power of two ≥ 4 or `multiplicity` is 0.
+    /// As [`MultiButterfly::with_wiring`].
     pub fn new(nodes: u32, multiplicity: u32, seed: u64) -> Self {
         Self::with_wiring(nodes, multiplicity, seed, Wiring::Randomized)
     }
@@ -70,7 +69,9 @@ impl MultiButterfly {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` is not a power of two ≥ 4 or `multiplicity` is 0.
+    /// Panics if `nodes` is not a power of two ≥ 4, `multiplicity` is 0,
+    /// or a switch id or port would not fit the packed wiring table
+    /// (see [`PortLayout::new`]).
     pub fn with_wiring(nodes: u32, multiplicity: u32, seed: u64, wiring: Wiring) -> Self {
         assert!(
             nodes >= 4 && nodes.is_power_of_two(),
@@ -80,14 +81,15 @@ impl MultiButterfly {
         let stages = nodes.trailing_zeros();
         let switches = nodes / 2;
         let m = multiplicity;
+        let layout = PortLayout::new(switches, m);
+        let mut links = LinkTable::new(layout, stages);
+        // One shuffle buffer for every (stage, group, dir, round).
+        let mut slots: Vec<LinkTarget> = Vec::with_capacity(switches as usize);
 
-        let mut links = Vec::with_capacity(stages as usize - 1);
         for s in 0..stages - 1 {
             let groups = 1u32 << s;
             let group_width = switches / groups; // switches per group at s
             let next_width = group_width / 2; // switches per subgroup at s+1
-            let mut stage_links: Vec<[Vec<LinkTarget>; 2]> =
-                vec![[Vec::new(), Vec::new()]; switches as usize];
 
             for g in 0..groups {
                 for dir in 0..2u32 {
@@ -110,27 +112,27 @@ impl MultiButterfly {
                             for round in 0..m {
                                 // Each round hands every target switch
                                 // exactly 2 links, on its input ports
-                                // (2*round) and (2*round + 1).
-                                let mut slots: Vec<LinkTarget> = (0..next_width)
-                                    .flat_map(|t| {
-                                        let switch = next_group_base + t;
-                                        [
-                                            LinkTarget {
-                                                switch,
-                                                port: 2 * round,
-                                            },
-                                            LinkTarget {
-                                                switch,
-                                                port: 2 * round + 1,
-                                            },
-                                        ]
-                                    })
-                                    .collect();
+                                // (2*round) and (2*round + 1); round r
+                                // wires path r of every source.
+                                slots.clear();
+                                slots.extend((0..next_width).flat_map(|t| {
+                                    let switch = next_group_base + t;
+                                    [
+                                        LinkTarget {
+                                            switch,
+                                            port: 2 * round,
+                                        },
+                                        LinkTarget {
+                                            switch,
+                                            port: 2 * round + 1,
+                                        },
+                                    ]
+                                }));
                                 rng.shuffle(&mut slots);
                                 for src in 0..group_width {
                                     let switch = g * group_width + src;
-                                    stage_links[switch as usize][dir as usize]
-                                        .push(slots[src as usize]);
+                                    let port = layout.index(s, switch, dir, round);
+                                    links.set(port, slots[src as usize]);
                                 }
                             }
                         }
@@ -144,17 +146,20 @@ impl MultiButterfly {
                                 let target = next_group_base + src % next_width;
                                 let half = src / next_width; // 0 or 1
                                 for round in 0..m {
-                                    stage_links[switch as usize][dir as usize].push(LinkTarget {
-                                        switch: target,
-                                        port: 2 * round + half,
-                                    });
+                                    let port = layout.index(s, switch, dir, round);
+                                    links.set(
+                                        port,
+                                        LinkTarget {
+                                            switch: target,
+                                            port: 2 * round + half,
+                                        },
+                                    );
                                 }
                             }
                         }
                     }
                 }
             }
-            links.push(stage_links);
         }
 
         MultiButterfly {
@@ -215,13 +220,35 @@ impl MultiButterfly {
         (dst.0 >> (self.stages - 1 - stage)) & 1
     }
 
-    /// The `m` candidate next-stage targets for (`stage`, `switch`,
-    /// `dir`). For the final stage this is `None`: the packet exits to
-    /// [`MultiButterfly::egress_node`].
-    pub fn next_targets(&self, stage: u32, switch: u32, dir: u32) -> Option<&[LinkTarget]> {
+    /// Takes the wiring, dropping the rest.
+    pub(crate) fn into_links(self) -> LinkTable {
         self.links
-            .get(stage as usize)
-            .map(|stage_links| stage_links[switch as usize][dir as usize].as_slice())
+    }
+
+    /// The next-stage target of the `path`-th direction-`dir` output of
+    /// (`stage`, `switch`).
+    ///
+    /// # Panics
+    ///
+    /// Panics at the final stage, whose outputs exit to
+    /// [`MultiButterfly::egress_node`].
+    pub fn target(&self, stage: u32, switch: u32, dir: u32, path: u32) -> LinkTarget {
+        self.links.target(stage, switch, dir, path)
+    }
+
+    /// The `m` candidate next-stage targets for (`stage`, `switch`,
+    /// `dir`), in path order.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the final stage, like [`MultiButterfly::target`].
+    pub fn next_targets(
+        &self,
+        stage: u32,
+        switch: u32,
+        dir: u32,
+    ) -> impl ExactSizeIterator<Item = LinkTarget> + '_ {
+        self.links.targets(stage, switch, dir)
     }
 
     /// The node a final-stage switch's direction-`dir` outputs reach.
@@ -237,8 +264,9 @@ impl MultiButterfly {
         let mut path = vec![switch];
         for s in 0..self.stages - 1 {
             let dir = self.direction(dst, s);
-            let targets = self.next_targets(s, switch, dir).expect("inner stage");
-            switch = targets[(path_choice % self.multiplicity) as usize].switch;
+            switch = self
+                .target(s, switch, dir, path_choice % self.multiplicity)
+                .switch;
             path.push(switch);
         }
         let dir = self.direction(dst, self.stages - 1);
@@ -252,21 +280,19 @@ impl MultiButterfly {
     /// Describes the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
         let switches = self.switches_per_stage();
-        for (s, stage_links) in self.links.iter().enumerate() {
-            let s = s as u32;
+        let m = self.multiplicity;
+        // Each target input port must be used exactly once: one bitmap
+        // over the next stage's `switch * 2m + port` inputs.
+        let mut used = vec![false; self.links.layout().stride()];
+        for s in 0..self.stages - 1 {
+            used.fill(false);
             let groups = 1u32 << (s + 1); // target groups at stage s+1
             let next_width = switches / groups;
-            // Each target input port must be used exactly once.
-            let mut used = vec![vec![false; 2 * self.multiplicity as usize]; switches as usize];
-            for (sw, dirs) in stage_links.iter().enumerate() {
-                let sw = sw as u32;
+            for sw in 0..switches {
                 let group = sw / (switches / (1 << s));
-                for (dir, targets) in dirs.iter().enumerate() {
-                    if targets.len() != self.multiplicity as usize {
-                        return Err(format!("stage {s} switch {sw}: wrong fanout"));
-                    }
-                    let want_group = 2 * group + dir as u32;
-                    for t in targets {
+                for dir in 0..2 {
+                    let want_group = 2 * group + dir;
+                    for t in self.next_targets(s, sw, dir) {
                         let tg = t.switch / next_width;
                         if tg != want_group {
                             return Err(format!(
@@ -274,7 +300,13 @@ impl MultiButterfly {
                                 t.switch
                             ));
                         }
-                        let slot = &mut used[t.switch as usize][t.port as usize];
+                        if t.port >= 2 * m {
+                            return Err(format!(
+                                "stage {s} switch {sw} dir {dir}: target port {} out of range",
+                                t.port
+                            ));
+                        }
+                        let slot = &mut used[(t.switch * 2 * m + t.port) as usize];
                         if *slot {
                             return Err(format!(
                                 "stage {} target {}:{} double-filled",
@@ -287,10 +319,12 @@ impl MultiButterfly {
                     }
                 }
             }
-            for (sw, ports) in used.iter().enumerate() {
-                if ports.iter().any(|&u| !u) {
-                    return Err(format!("stage {} switch {sw} has unfilled inputs", s + 1));
-                }
+            if let Some(i) = used.iter().position(|&u| !u) {
+                return Err(format!(
+                    "stage {} switch {} has unfilled inputs",
+                    s + 1,
+                    i / (2 * m as usize)
+                ));
             }
         }
         Ok(())
@@ -340,17 +374,9 @@ mod tests {
         let a = MultiButterfly::new(32, 4, 99);
         let b = MultiButterfly::new(32, 4, 99);
         let c = MultiButterfly::new(32, 4, 100);
-        for s in 0..a.stages() - 1 {
-            for sw in 0..a.switches_per_stage() {
-                for d in 0..2 {
-                    assert_eq!(a.next_targets(s, sw, d), b.next_targets(s, sw, d));
-                }
-            }
-        }
+        assert_eq!(a.links, b.links);
         // A different seed rewires at least something.
-        let differs = (0..a.switches_per_stage())
-            .any(|sw| (0..2).any(|d| a.next_targets(0, sw, d) != c.next_targets(0, sw, d)));
-        assert!(differs);
+        assert_ne!(a.links, c.links);
     }
 
     #[test]
@@ -360,7 +386,7 @@ mod tests {
         let mb = MultiButterfly::new(256, 4, 3);
         let mut all_same = 0;
         for sw in 0..mb.switches_per_stage() {
-            let t = mb.next_targets(0, sw, 0).unwrap();
+            let t: Vec<LinkTarget> = mb.next_targets(0, sw, 0).collect();
             if t.iter().all(|x| x.switch == t[0].switch) {
                 all_same += 1;
             }
@@ -387,18 +413,34 @@ mod tests {
     }
 
     #[test]
+    fn packing_limit_on_ports_is_exact() {
+        // 2m = 256 input ports is the most a packed target can name.
+        let mb = MultiButterfly::new(4, 128, 0);
+        assert!(mb.validate().is_ok());
+        assert!((0..2).any(|sw| mb.target(0, sw, 1, 127).port == 255));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the packed wiring")]
+    fn packing_rejects_one_path_past_the_port_limit() {
+        MultiButterfly::new(4, 129, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "switches per stage exceed the packed wiring")]
+    fn packing_rejects_one_stage_width_past_the_switch_limit() {
+        // 2^26 nodes = 2^25 switches per stage, one doubling past the
+        // limit; rejected before anything is allocated.
+        MultiButterfly::new(4 * crate::links::MAX_SWITCHES, 1, 0);
+    }
+
+    #[test]
     fn dilated_wiring_is_valid_and_deterministic() {
         let a = MultiButterfly::with_wiring(64, 3, 1, Wiring::Dilated);
         let b = MultiButterfly::with_wiring(64, 3, 999, Wiring::Dilated);
         assert!(a.validate().is_ok());
         // Seed-independent: the structure is fixed.
-        for s in 0..a.stages() - 1 {
-            for sw in 0..a.switches_per_stage() {
-                for d in 0..2 {
-                    assert_eq!(a.next_targets(s, sw, d), b.next_targets(s, sw, d));
-                }
-            }
-        }
+        assert_eq!(a.links, b.links);
         assert_eq!(a.wiring(), Wiring::Dilated);
     }
 
@@ -421,7 +463,7 @@ mod tests {
         // structural difference from the randomized multi-butterfly.
         let mb = MultiButterfly::with_wiring(256, 4, 0, Wiring::Dilated);
         for sw in 0..mb.switches_per_stage() {
-            let t = mb.next_targets(0, sw, 0).unwrap();
+            let t: Vec<LinkTarget> = mb.next_targets(0, sw, 0).collect();
             assert!(t.iter().all(|x| x.switch == t[0].switch));
         }
     }

@@ -13,7 +13,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::graph::NodeId;
-use crate::multibutterfly::LinkTarget;
+use crate::links::{LinkTable, LinkTarget, PortLayout};
 
 /// An Omega network of 2x2 switches with dilation m.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -30,6 +30,8 @@ impl Omega {
     /// # Panics
     ///
     /// Panics if `nodes` is not a power of two ≥ 4 or `multiplicity` is 0.
+    /// [`Omega::links`] additionally panics past the packed wiring's
+    /// limits (see [`PortLayout::new`]).
     pub fn new(nodes: u32, multiplicity: u32) -> Self {
         assert!(
             nodes >= 4 && nodes.is_power_of_two(),
@@ -81,24 +83,42 @@ impl Omega {
         (dst.0 >> (self.stages - 1 - stage)) & 1
     }
 
-    /// The m dilated link targets from (`stage`, `switch`, `dir`), or
-    /// `None` at the final stage (the packet exits to a node).
-    pub fn next_targets(&self, stage: u32, switch: u32, dir: u32) -> Option<Vec<LinkTarget>> {
-        if stage + 1 >= self.stages {
-            return None;
-        }
-        let wire = 2 * switch + dir;
-        let next_wire = self.shuffle(wire);
-        let target = next_wire / 2;
+    /// The `path`-th of the m dilated link targets from (`stage`,
+    /// `switch`, `dir`): one successor switch, `m` ports on the input
+    /// half the shuffle lands on.
+    ///
+    /// # Panics
+    ///
+    /// Panics at the final stage (the packet exits to a node).
+    pub fn target(&self, stage: u32, switch: u32, dir: u32, path: u32) -> LinkTarget {
+        assert!(
+            stage + 1 < self.stages,
+            "final stage {stage} exits to nodes"
+        );
+        let next_wire = self.shuffle(2 * switch + dir);
         let side = next_wire % 2; // which half of the target's input ports
-        Some(
-            (0..self.multiplicity)
-                .map(|path| LinkTarget {
-                    switch: target,
-                    port: side * self.multiplicity + path,
-                })
-                .collect(),
-        )
+        LinkTarget {
+            switch: next_wire / 2,
+            port: side * self.multiplicity + path,
+        }
+    }
+
+    /// The whole wiring as a flat [`LinkTable`], filled from
+    /// [`Omega::target`].
+    pub fn links(&self) -> LinkTable {
+        let layout = PortLayout::new(self.switches_per_stage(), self.multiplicity);
+        let mut links = LinkTable::new(layout, self.stages);
+        for stage in 0..self.stages - 1 {
+            for switch in 0..self.switches_per_stage() {
+                for dir in 0..2 {
+                    for path in 0..self.multiplicity {
+                        let port = layout.index(stage, switch, dir, path);
+                        links.set(port, self.target(stage, switch, dir, path));
+                    }
+                }
+            }
+        }
+        links
     }
 
     /// The node reached from a final-stage switch's direction-`dir` output.
@@ -155,8 +175,7 @@ mod tests {
     #[test]
     fn dilated_targets_share_one_successor() {
         let o = Omega::new(32, 4);
-        let t = o.next_targets(0, 3, 1).unwrap();
-        assert_eq!(t.len(), 4);
+        let t: Vec<LinkTarget> = (0..4).map(|path| o.target(0, 3, 1, path)).collect();
         assert!(t.iter().all(|x| x.switch == t[0].switch));
         // Ports within the chosen input half are distinct.
         let mut ports: Vec<u32> = t.iter().map(|x| x.port).collect();
@@ -166,10 +185,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "exits to nodes")]
     fn final_stage_has_no_targets() {
         let o = Omega::new(16, 2);
-        assert!(o.next_targets(3, 0, 0).is_none());
-        assert!(o.next_targets(2, 0, 0).is_some());
+        let _ = o.target(2, 0, 0, 0);
+        o.target(3, 0, 0, 0);
+    }
+
+    #[test]
+    fn accessor_and_table_agree_with_trace_route() {
+        let o = Omega::new(64, 3);
+        let links = o.links();
+        for src in 0..64 {
+            for dst in 0..64 {
+                let (src, dst) = (NodeId(src), NodeId(dst));
+                let (route, _) = o.trace_route(src, dst);
+                let mut switch = o.ingress_switch(src);
+                for s in 0..o.stages() - 1 {
+                    let dir = o.direction(dst, s);
+                    let t = o.target(s, switch, dir, s % 3);
+                    assert_eq!(links.target(s, switch, dir, s % 3), t);
+                    switch = t.switch;
+                    assert_eq!(switch, route[s as usize + 1], "{src:?}->{dst:?} stage {s}");
+                }
+            }
+        }
     }
 
     #[test]
